@@ -15,7 +15,6 @@ hit, failed hard check), 3 infeasibility.
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -34,7 +33,7 @@ from .instances.generators import (Instance, random_instance,
                                    random_valuations)
 from .lcst.embed import frt_embed
 from .lcst.lp import solve_lp_lcst
-from .lcst.rounding import alg_lcst
+from .lcst.rounding import alg_lcst, weight_cap
 from .mlsc import alg_mlsc, brute_force_latency, check_mlsc_recurrence
 from .orienteering import SopQuery, sop_exact, sop_recursive_greedy
 from .ranking import (ResidualFunction, alg_ag, brute_force_ranking,
@@ -92,7 +91,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One output row; `wall_ms` stays in memory and is never serialized."""
+    """One output row."""
 
     command: str
     config: str
@@ -105,7 +104,6 @@ class ResultRecord:
     checkpoints: str = ""
     ok: str = ""
     detail: str = ""
-    wall_ms: float = 0.0
 
     def row(self) -> list[str]:
         return [getattr(self, c) for c in COLUMNS]
@@ -440,9 +438,7 @@ def _suite_lcst(seed: int, args) -> tuple[dict, bool]:
     worst = 0.0
     for ph in report.phases:
         if ph.accepted and len(ph.walk) > 1:
-            cap = 192 * (3 + math.log2(max(2, max(inst.tree.reqs)))) \
-                * (1 << ph.level)
-            worst = max(worst, ph.weight / cap)
+            worst = max(worst, ph.weight / weight_cap(inst.tree, ph.level))
     r, rn, rd = _ratio_fields(tour.objective, sol.objective)
     fields = dict(objective=_rat(tour.objective), oracle=_rat(sol.objective),
                   ratio=r, ratio_num=rn, ratio_den=rd,
@@ -633,8 +629,6 @@ def main(argv=None) -> int:
         print(f"latcov {args.command}: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
-    ms = round(elapsed * 1000, 3)
-    records = [dataclasses.replace(r, wall_ms=ms) for r in records]
     emit(records, args.format, args.out)
     print(f"latcov {args.command}: {len(records)} record(s), "
           f"wall-clock {elapsed:.3f}s", file=sys.stderr)

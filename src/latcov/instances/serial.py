@@ -40,8 +40,10 @@ def _rat(x: Fraction) -> str:
 def _parse_rat(tok: str) -> Fraction:
     if "/" not in tok:
         raise ValueError(f"rational must be written p/q, got {tok!r}")
-    p, q = tok.split("/", 1)
-    return Fraction(int(p), int(q))
+    p, q = (int(t) for t in tok.split("/", 1))
+    if q == 0:
+        raise ValueError(f"rational has a zero denominator: {tok!r}")
+    return Fraction(p, q)
 
 
 def dumps(inst: Instance) -> str:

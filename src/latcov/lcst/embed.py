@@ -13,7 +13,7 @@ leaf; path distances do not change.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..instances.trees import GroupedTree, normalize
 
@@ -31,7 +31,16 @@ class EmbeddedTree:
     weight: tuple
     root: int
     leaf_of: tuple          # metric vertex -> tree vertex
-    mean_stretch: float     # tree distance / metric distance, positive pairs
+    metric: object = field(repr=False, compare=False)
+
+    @property
+    def mean_stretch(self) -> float:
+        """Mean of tree distance / metric distance over positive pairs."""
+        n, leaf = len(self.leaf_of), self.leaf_of
+        ratios = [self.distance(leaf[a], leaf[b]) / d
+                  for a in range(n) for b in range(a + 1, n)
+                  if (d := self.metric.d(a, b)) > 0]
+        return sum(ratios) / len(ratios) if ratios else 0.0
 
     def grouped(self, groups, reqs) -> GroupedTree:
         mapped, capped = [], []
@@ -111,19 +120,10 @@ def frt_embed(metric, seed: int) -> EmbeddedTree:
     parent[new_root] = None
     weight[new_root] = 0
 
-    tree = EmbeddedTree(
+    return EmbeddedTree(
         parent=tuple(parent),
         weight=tuple(weight),
         root=new_root,
         leaf_of=tuple(leaf_node[rep_of[v]] for v in range(n)),
-        mean_stretch=0.0,
+        metric=metric,
     )
-    total, pairs = 0.0, 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = metric.d(a, b)
-            if d > 0:
-                total += tree.distance(tree.leaf_of[a], tree.leaf_of[b]) / d
-                pairs += 1
-    return EmbeddedTree(tree.parent, tree.weight, tree.root, tree.leaf_of,
-                        total / pairs if pairs else 0.0)

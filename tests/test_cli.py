@@ -187,6 +187,18 @@ def test_exit_codes():
         cli.main(["not-a-subcommand"])
 
 
+def test_zero_denominator_in_file_is_bad_input(tmp_path, capsys):
+    dest = tmp_path / "z.lcov"
+    run_cli(capsys, "gen", "explicit:n=3:seed=0", str(dest))
+    lines = dest.read_text().splitlines()
+    (i,) = [k for k, ln in enumerate(lines) if ln.startswith("VALUATIONS")]
+    lines[i] = " ".join(lines[i].split()[:-1] + ["1/0"])
+    dest.write_text("\n".join(lines) + "\n")
+    code = cli.main(["rank", "--in", str(dest)])
+    assert code == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
 def test_exit_code_infeasible(monkeypatch):
     def boom(args, cfg):
         raise Infeasible("no fractional flow meets the requirement")
