@@ -3,7 +3,7 @@ generators, and the on-disk format."""
 
 from .generators import Instance, random_instance
 from .metrics import (GridPoints, Metric, metric_closure, metric_from_matrix,
-                      scale_to_integers, uniform_metric)
+                      uniform_metric)
 from .serial import dump, dumps, load, loads
 from .stoch import StochasticInstance
 from .trees import GroupedTree, cover_times, normalize
@@ -14,7 +14,7 @@ from .valuations import (CoverFunction, CoverTerm, ExplicitFunction,
 __all__ = [
     "Instance", "random_instance",
     "GridPoints", "Metric", "metric_closure", "metric_from_matrix",
-    "scale_to_integers", "uniform_metric",
+    "uniform_metric",
     "dump", "dumps", "load", "loads",
     "StochasticInstance",
     "GroupedTree", "cover_times", "normalize",

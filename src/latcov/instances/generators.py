@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ..errors import CapExceeded, size_cap
 from .metrics import GridPoints, Metric, uniform_metric
 from .stoch import StochasticInstance
 from .trees import GroupedTree, normalize
-from .valuations import CoverFunction, ValuationSet
+from .valuations import SUBMODULAR_CAP, ValuationSet
 
 KINDS = ("uniform-metric", "euclidean-grid-metric", "random-tree",
          "random-groups", "random-stochastic")
@@ -30,6 +31,11 @@ class Instance:
     tree: Optional[GroupedTree] = None
     valuations: Optional[ValuationSet] = None
     stochastic: Optional[StochasticInstance] = None
+
+
+def _check_size(n: int):
+    if n < 1:
+        raise ValueError(f"generator size must be n >= 1, got n={n}")
 
 
 def _random_groups(rng: random.Random, pool: list[int], count: int,
@@ -53,6 +59,7 @@ def random_valuations(style: str, n: int, seed: int) -> ValuationSet:
     """Deterministic random valuation set of one fixed style."""
     if style not in STYLES:
         raise ValueError(f"unknown valuation style {style!r}")
+    _check_size(n)
     rng = random.Random(f"{style}:{n}:{seed}")
     return _styled_valuations(rng, style, n, list(range(n)))
 
@@ -69,7 +76,11 @@ def _styled_valuations(rng: random.Random, style: str, n: int,
     if style == "singlegroup":
         return ValuationSet.singlegroup(n, groups, reqs)
     # explicit: tabulate a coverage-style function so the table is guaranteed
-    # monotone submodular, then forget the structure
+    # monotone submodular, then forget the structure; refuse before building
+    # 2^n entries that epsilon's exhaustive sweep would refuse anyway
+    if n > size_cap(SUBMODULAR_CAP):
+        raise CapExceeded(f"explicit valuation tables capped at "
+                          f"n={size_cap(SUBMODULAR_CAP)}, got n={n}")
     base = ValuationSet.multicoverage(n, groups, reqs).functions[0]
     table = [base.value(mask) for mask in range(1 << n)]
     return ValuationSet.explicit(n, [table])
@@ -79,6 +90,7 @@ def random_instance(kind: str, n: int, seed: int) -> Instance:
     """Generate a deterministic random instance of the requested kind."""
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
+    _check_size(n)
     rng = random.Random(f"{kind}:{n}:{seed}")
 
     if kind == "random-groups":

@@ -81,21 +81,6 @@ def metric_closure(rows: list[list[int]], root: int = 0) -> Metric:
     return metric_from_matrix(d, root)
 
 
-def scale_to_integers(rows: list[list[float]], rel_err: float = 1e-6,
-                      root: int = 0) -> Metric:
-    """Scale real distances to integers with relative error <= rel_err.
-
-    The scale is chosen from the smallest nonzero distance; the rounded
-    matrix is then repaired by shortest-path closure.
-    """
-    nonzero = [x for row in rows for x in row if x > 0]
-    if not nonzero:
-        raise ValueError("matrix has no positive distance")
-    scale = max(1.0, 1.0 / (min(nonzero) * rel_err))
-    scaled = [[round(x * scale) for x in row] for row in rows]
-    return metric_closure(scaled, root)
-
-
 @dataclass(frozen=True)
 class GridPoints:
     """Integer grid points with L1 distances (an exact integer metric)."""

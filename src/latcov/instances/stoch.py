@@ -53,6 +53,3 @@ class StochasticInstance:
         """Duration of any complete schedule; the cover time assigned to
         valuations that no realization ever satisfies."""
         return sum(self.lengths)
-
-    def is_deterministic(self) -> bool:
-        return all(len(s) == 1 for s in self.supports)

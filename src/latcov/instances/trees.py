@@ -108,13 +108,6 @@ class GroupedTree:
     def total_weight(self) -> int:
         return sum(self.weight)
 
-    def depth_weighted(self, v: int) -> int:
-        d, u = 0, v
-        while u != self.root:
-            d += self.weight[u]
-            u = self.parent[u]
-        return d
-
     def distances(self) -> list[list[int]]:
         """All-pairs tree distances (cached; per-vertex traversal)."""
         if self._dists is None:

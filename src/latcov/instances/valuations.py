@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import CapExceeded, size_cap
 from ..sets import bits
@@ -177,6 +177,31 @@ class ValuationSet:
     def alpha(self) -> Fraction:
         return alpha_from_epsilon(self.epsilon)
 
+    def first_cover(self, steps: Iterable[tuple[int, int]]
+                    ) -> list[int | None]:
+        """First time each valuation reaches 1 along a sequence of steps.
+
+        `steps` yields (point, time) pairs; each adds `point` to the set.
+        A valuation never covered gets None. Stops pulling steps as soon
+        as every valuation is covered, so a lazy generator is not advanced
+        past full cover.
+        """
+        cover: list[int | None] = [None] * self.m
+        pending = list(range(self.m))
+        mask = 0
+        for point, time in steps:
+            mask |= 1 << point
+            still = []
+            for i in pending:
+                if self.functions[i].value(mask) == 1:
+                    cover[i] = time
+                else:
+                    still.append(i)
+            pending = still
+            if not pending:
+                break
+        return cover
+
     # ---- constructors for the classic kinds -------------------------------
 
     @classmethod
@@ -219,10 +244,11 @@ class ValuationSet:
 def compute_epsilon(vs: ValuationSet) -> Fraction:
     """Smallest nonzero marginal increase of any function in the set.
 
-    Closed forms for the coverage kinds; exhaustive single-element sweep for
-    explicit tables and generic weighted-coverage sets (capped). Single-element
-    marginals suffice: a nonzero marginal over nested sets telescopes into
-    single-element steps, at least one of which is nonzero.
+    Closed forms for the coverage kinds; the exhaustive single-element
+    sweep of `min_nonzero_marginal` for explicit tables and generic
+    weighted-coverage sets (capped). Single-element marginals suffice: a
+    nonzero marginal over nested sets telescopes into single-element steps,
+    at least one of which is nonzero.
     """
     if vs.kind == "coverage":
         return Fraction(1, len(vs.functions[0].terms))
@@ -234,21 +260,7 @@ def compute_epsilon(vs: ValuationSet) -> Fraction:
     if vs.kind == "singlegroup":
         kmax = max(f.terms[0].units[0].denominator for f in vs.functions)
         return Fraction(1, kmax)
-    if vs.n > size_cap(SUBMODULAR_CAP):
-        raise CapExceeded("epsilon enumeration capped at n=12")
-    best: Fraction | None = None
-    for f in vs.functions:
-        for mask in range(1 << vs.n):
-            base = f.value(mask)
-            for e in range(vs.n):
-                if mask & (1 << e):
-                    continue
-                gain = f.value(mask | (1 << e)) - base
-                if gain > 0 and (best is None or gain < best):
-                    best = gain
-    if best is None:
-        raise ValueError("no function has a nonzero marginal")
-    return best
+    return min(min_nonzero_marginal(f, vs.n) for f in vs.functions)
 
 
 def alpha_from_epsilon(epsilon: Fraction) -> Fraction:

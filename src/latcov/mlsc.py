@@ -52,14 +52,6 @@ class ResidualValuation:
             total += (fn.value(u) - base) / gap
         return total
 
-    def residual_fingerprint(self, tmask: int) -> tuple:
-        # coarse state key for memoized searches: sorted per-valuation
-        # residuals quantized at 1e-9
-        u = self.s_mask | tmask
-        vals = sorted((fn.value(u) - base) / gap
-                      for fn, base, gap in self._active)
-        return tuple(round(float(v) * 1e9) for v in vals)
-
 
 @dataclass(frozen=True)
 class LatencyTour:
@@ -80,21 +72,10 @@ class LatencyTour:
         prefix = [0]
         for a, b in zip(walk, walk[1:]):
             prefix.append(prefix[-1] + metric.d(a, b))
-        cover: list[int | None] = [None] * vs.m
-        pending = set(range(vs.m))
-        mask = 0
-        for pos, v in enumerate(walk):
-            mask |= 1 << v
-            for i in tuple(pending):
-                if vs.functions[i].value(mask) == 1:
-                    cover[i] = prefix[pos]
-                    pending.discard(i)
-            if not pending:
-                break
-        if pending:
+        cover = vs.first_cover(zip(walk, prefix))
+        if None in cover:
             raise Uncoverable("walk does not cover every valuation")
-        times = tuple(cover)  # type: ignore[arg-type]
-        return cls(walk, tuple(prefix), times, sum(times))
+        return cls(walk, tuple(prefix), tuple(cover), sum(cover))
 
 
 @dataclass(frozen=True)
@@ -157,19 +138,13 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
     walk = [r]
     length = 0
     phases: list[PhaseRecord] = []
-    k = 0
     budget = 1
-    while True:
-        residual = ResidualValuation(vs.functions, s_mask)
-        if residual.uncovered == 0:
-            break
+    residual = ResidualValuation(vs.functions, s_mask)
+    while residual.uncovered:
         results: list[SopResult] = []
         added: list[int] = []
         phase_gain = Fraction(0)
         for _ in range(h):
-            residual = ResidualValuation(vs.functions, s_mask)
-            if residual.uncovered == 0:
-                break
             res = solver(SopQuery(metric, r, residual, budget))
             if res.length > sigma * budget:
                 raise ValueError("solver exceeded its declared length bound")
@@ -183,15 +158,15 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
                     if not s_mask & (1 << v):
                         s_mask |= 1 << v
                         added.append(v)
+                residual = ResidualValuation(vs.functions, s_mask)
+                if residual.uncovered == 0:
+                    break
         phases.append(PhaseRecord(budget, tuple(results), tuple(added), length))
-        if ResidualValuation(vs.functions, s_mask).uncovered == 0:
-            break
-        if budget >= cap and phase_gain == 0:
+        if residual.uncovered and budget >= cap and phase_gain == 0:
             raise Uncoverable("no residual progress in a full phase at the "
                               "budget cap")
-        k += 1
         if budget < cap:
-            budget = 1 << k
+            budget *= 2
     tour = LatencyTour.from_walk(metric, vs, walk)
     base = mlsc_checkpoint_base(vs.alpha, rho, sigma)
     total = tour.prefix[-1]

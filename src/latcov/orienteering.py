@@ -1,15 +1,13 @@
 """Budgeted path search: maximize a monotone submodular value over rooted
 paths of bounded length (pluggable bicriteria solvers).
 
-Three solvers share the SopQuery/SopResult interface. A solver declares a
+Two solvers share the SopQuery/SopResult interface. A solver declares a
 guarantee pair (rho, sigma): it returns a path of length <= sigma * budget
-whose value is at least a rho-fraction... i.e. best achievable value / rho.
+whose value is at least the best value achievable within budget, over rho.
 
 * ``sop_exact``      -- exhaustive DFS over simple paths, (1, 1); tiny inputs.
 * ``sop_recursive_greedy`` -- midpoint/budget-split recursion in the style of
   quasi-polynomial orienteering searches, (ceil(log2 |V|) + 1, 1).
-* ``sop_budget_greedy``    -- gain-per-distance heuristic, declared (|V|, 2);
-  benchmarking only, never used for verification runs.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import CapExceeded, size_cap
 from .instances.metrics import Metric
@@ -126,21 +124,16 @@ def _path_vertex_bound(q: SopQuery) -> int:
     return min(n, q.budget // min(positive) + 1)
 
 
-def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None,
-                         use_memo: bool = False) -> SopResult:
+def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None
+                         ) -> SopResult:
     """Midpoint recursion: guess the path's middle vertex and budget split,
     solve the halves recursively, chain the greedy residual.
 
     Depth ceil(log2 k) suffices when the optimal path visits k vertices; k is
     bounded by the budget over the smallest positive distance, which keeps
     desk-scale runs shallow. The declared guarantee stays
-    (ceil(log2 |V|) + 1, 1).
-
-    The recursion always caches on (endpoints, budget, depth, collected
-    mask), which is loss-free. With ``use_memo`` the mask is replaced by a
-    residual fingerprint quantized at 1e-9, so states with near-identical
-    residuals share cache entries; that is an approximation, and
-    verification runs keep it off.
+    (ceil(log2 |V|) + 1, 1). The recursion caches on (endpoints, budget,
+    depth, collected mask), which is loss-free.
     """
     n = q.metric.n
     if n > size_cap(RG_CAP):
@@ -154,14 +147,6 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None,
         depth = min(depth, depth_cap)
     memo: dict = {}
 
-    def state_key(mask: int):
-        if not use_memo:
-            return mask
-        fp = getattr(g, "residual_fingerprint", None)
-        if fp is not None:
-            return fp(mask)
-        return round(float(g.value(mask)) * 1e9)
-
     def gain_of(mask: int, add_mask: int, base: Fraction) -> Fraction:
         return g.value(mask | add_mask) - base
 
@@ -170,7 +155,7 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None,
         Returns (gain, path) or None if d(s,t) > budget."""
         if d[s][t] > budget:
             return None
-        key = ("c", s, t, budget, depth, state_key(mask))
+        key = ("c", s, t, budget, depth, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -198,7 +183,7 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None,
 
     def open_path(s: int, budget: int, depth: int, mask: int):
         """Best gain path starting at s, free endpoint."""
-        key = ("o", s, budget, depth, state_key(mask))
+        key = ("o", s, budget, depth, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -229,40 +214,3 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None,
     _, path = open_path(q.root, q.budget, depth, 0)
     return _finish(q, path, declared)
 
-
-def sop_budget_greedy(q: SopQuery) -> SopResult:
-    """Append the best gain-per-added-distance vertex while length <= 2B."""
-    n = q.metric.n
-    d = q.metric.dist
-    g = q.valuation
-    path = [q.root]
-    mask = 1 << q.root
-    length = 0
-    limit = 2 * q.budget
-    while True:
-        base = g.value(mask)
-        pick = None  # (gain, step, vertex)
-        for v in range(n):
-            if mask & (1 << v):
-                continue
-            step = d[path[-1]][v]
-            if length + step > limit:
-                continue
-            gain = g.value(mask | (1 << v)) - base
-            if gain <= 0:
-                continue
-            if pick is None:
-                pick = (gain, step, v)
-                continue
-            # compare gain/step ratios by cross-multiplication; a zero step
-            # with positive gain dominates any positive step
-            better = gain * pick[1] > pick[0] * step
-            if better:
-                pick = (gain, step, v)
-        if pick is None:
-            break
-        _, step, v = pick
-        path.append(v)
-        mask |= 1 << v
-        length += step
-    return _finish(q, path, (n, 2))

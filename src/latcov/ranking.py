@@ -85,13 +85,8 @@ def alg_ag(vs: ValuationSet) -> tuple[Ordering, RankingTrace]:
     n = vs.n
     perm: list[int] = []
     mask = 0
-    cover: list[int | None] = [None] * vs.m
-    uncovered_log: list[tuple[int, ...]] = []
     score_log: list[Fraction] = []
-    for t in range(1, n + 1):
-        uncovered = tuple(i for i, f in enumerate(vs.functions)
-                          if f.value(mask) < 1)
-        uncovered_log.append(uncovered)
+    for _ in range(n):
         best_e, best_score = -1, None
         for e in range(n):
             if mask & (1 << e):
@@ -102,13 +97,10 @@ def alg_ag(vs: ValuationSet) -> tuple[Ordering, RankingTrace]:
         perm.append(best_e)
         score_log.append(best_score)
         mask |= 1 << best_e
-        for i in uncovered:
-            if cover[i] is None and vs.functions[i].value(mask) == 1:
-                cover[i] = t
-    if any(c is None for c in cover):
-        raise ValueError("valuation never reached 1 on the full set")
-    order = Ordering(tuple(perm), tuple(cover), sum(cover))
-    return order, RankingTrace(tuple(uncovered_log), tuple(score_log))
+    order = _ordering(vs, perm)
+    uncovered_log = tuple(uncovered_at(order.cover_times, t)
+                          for t in range(1, n + 1))
+    return order, RankingTrace(uncovered_log, tuple(score_log))
 
 
 def _uncovered_counts(vs: ValuationSet) -> list[int]:
@@ -158,21 +150,14 @@ def brute_force_ranking(vs: ValuationSet) -> Ordering:
                     break
         perm.append(choice)
         mask |= 1 << choice
-    cover = _cover_times(vs, perm)
-    return Ordering(tuple(perm), tuple(cover), sum(cover))
+    return _ordering(vs, perm)
 
 
-def _cover_times(vs: ValuationSet, perm: Sequence[int]) -> list[int]:
-    cover: list[int | None] = [None] * vs.m
-    mask = 0
-    for t, e in enumerate(perm, start=1):
-        mask |= 1 << e
-        for i, f in enumerate(vs.functions):
-            if cover[i] is None and f.value(mask) == 1:
-                cover[i] = t
-    if any(c is None for c in cover):
-        raise ValueError("valuation never reached 1 on the full set")
-    return cover
+def _ordering(vs: ValuationSet, perm: Sequence[int]) -> Ordering:
+    """A full permutation with its cover times; every valuation reaches 1
+    on the full set, so each gets a time."""
+    cover = tuple(vs.first_cover((e, t) for t, e in enumerate(perm, start=1)))
+    return Ordering(tuple(perm), cover, sum(cover))
 
 
 def check_log_claim(fn, chain: Sequence[int]) -> Fraction:

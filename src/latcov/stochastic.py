@@ -116,11 +116,10 @@ def alg_ag_sto(inst: StochasticInstance, outcome) -> RealizedSchedule:
     int seed, or a random.Random; with a vector the run is a deterministic
     function of the instance and the vector.
     """
+    if isinstance(outcome, int):
+        outcome = random.Random(f"wssr:{outcome}")
     if isinstance(outcome, random.Random):
         draw = lambda e: _draw(inst.supports[e], outcome)
-    elif isinstance(outcome, int):
-        rng = random.Random(f"wssr:{outcome}")
-        draw = lambda e: _draw(inst.supports[e], rng)
     else:
         fixed = tuple(outcome)
         if len(fixed) != inst.n:
@@ -130,38 +129,44 @@ def alg_ag_sto(inst: StochasticInstance, outcome) -> RealizedSchedule:
                 raise ValueError(f"outcome {b} not in element {e}'s support")
         draw = lambda e: fixed[e]
 
-    functions = inst.valuations.functions
-    scheduled = realized = 0
-    clock = 0
     order: list[int] = []
     points: list[int] = []
     finish: list[int] = []
-    cover: list[Optional[int]] = [None] * len(functions)
-    while any(c is None and f.value(realized) < 1
-              for c, f in zip(cover, functions)):
-        best_e, best = -1, None
-        for e in range(inst.n):
-            if scheduled & (1 << e):
-                continue
-            score = sto_residual_score(inst, scheduled, realized, e)
-            if best is None or score > best:
-                best_e, best = e, score
-        if best_e < 0:
-            break  # everything scheduled; the rest never cover
-        scheduled |= 1 << best_e
-        b = draw(best_e)
-        clock += inst.lengths[best_e]
-        realized |= 1 << b
-        order.append(best_e)
-        points.append(b)
-        finish.append(clock)
-        for i, f in enumerate(functions):
-            if cover[i] is None and f.value(realized) == 1:
-                cover[i] = clock
+
+    def steps():
+        scheduled = realized = clock = 0
+        while True:
+            e = _greedy_choice(inst, scheduled, realized)
+            if e is None:
+                return  # everything scheduled; the rest never cover
+            scheduled |= 1 << e
+            b = draw(e)
+            clock += inst.lengths[e]
+            realized |= 1 << b
+            order.append(e)
+            points.append(b)
+            finish.append(clock)
+            yield b, clock
+
     horizon = inst.total_length
-    times = tuple(horizon if c is None else c for c in cover)
+    times = tuple(horizon if c is None else c
+                  for c in inst.valuations.first_cover(steps()))
     return RealizedSchedule(tuple(order), tuple(points), tuple(finish),
                             times, sum(times))
+
+
+def _greedy_choice(inst: StochasticInstance, scheduled: int,
+                   realized: int) -> Optional[int]:
+    """Unscheduled element of largest sto_residual_score, smallest index on
+    ties; None once every element is scheduled."""
+    best_e, best = None, None
+    for e in range(inst.n):
+        if scheduled & (1 << e):
+            continue
+        score = sto_residual_score(inst, scheduled, realized, e)
+        if best is None or score > best:
+            best_e, best = e, score
+    return best_e
 
 
 def _check_adaptive_cap(inst: StochasticInstance, what: str):
@@ -246,13 +251,7 @@ def greedy_policy(inst: StochasticInstance) -> AdaptivePolicy:
         if done or scheduled == full:
             node = PolicyNode(None, ())
         else:
-            best_e, best = -1, None
-            for e in range(inst.n):
-                if scheduled & (1 << e):
-                    continue
-                score = sto_residual_score(inst, scheduled, realized, e)
-                if best is None or score > best:
-                    best_e, best = e, score
+            best_e = _greedy_choice(inst, scheduled, realized)
             kids = tuple(
                 (b, build(scheduled | (1 << best_e), realized | (1 << b)))
                 for b, _ in inst.supports[best_e])
@@ -266,22 +265,18 @@ def greedy_policy(inst: StochasticInstance) -> AdaptivePolicy:
 def policy_cover_times(inst: StochasticInstance, policy: AdaptivePolicy,
                        outcome: Sequence[int]) -> tuple[int, ...]:
     """Replay a policy against one fixed realization vector."""
-    functions = inst.valuations.functions
-    node = policy.root
-    realized = 0
-    clock = 0
-    cover: list[Optional[int]] = [None] * len(functions)
-    while node.element is not None:
-        e = node.element
-        b = outcome[e]
-        clock += inst.lengths[e]
-        realized |= 1 << b
-        for i, f in enumerate(functions):
-            if cover[i] is None and f.value(realized) == 1:
-                cover[i] = clock
-        node = node.child(b)
+
+    def steps():
+        node, clock = policy.root, 0
+        while node.element is not None:
+            e = node.element
+            clock += inst.lengths[e]
+            yield outcome[e], clock
+            node = node.child(outcome[e])
+
     horizon = inst.total_length
-    return tuple(horizon if c is None else c for c in cover)
+    return tuple(horizon if c is None else c
+                 for c in inst.valuations.first_cover(steps()))
 
 
 def evaluate_policy(inst: StochasticInstance, policy: AdaptivePolicy,
@@ -294,31 +289,24 @@ def evaluate_policy(inst: StochasticInstance, policy: AdaptivePolicy,
     sampled outcome vectors and reports rational means plus the standard
     error of the total.
     """
-    functions = inst.valuations.functions
-    m = len(functions)
+    m = inst.valuations.m
     horizon = inst.total_length
     if mode == "exact":
         _check_adaptive_cap(inst, "exact policy evaluation")
         per = [ZERO] * m
 
-        def walk(node, realized, clock, prob, cover):
+        def walk(node, clock, prob, steps):
             if node.element is None:
-                for i in range(m):
-                    c = cover[i] if cover[i] is not None else horizon
-                    per[i] += prob * c
+                cover = inst.valuations.first_cover(steps)
+                for i, c in enumerate(cover):
+                    per[i] += prob * (horizon if c is None else c)
                 return
             e = node.element
+            clock += inst.lengths[e]
             for b, p in inst.supports[e]:
-                child = node.child(b)
-                nxt_clock = clock + inst.lengths[e]
-                nxt_real = realized | (1 << b)
-                nxt_cover = list(cover)
-                for i, f in enumerate(functions):
-                    if nxt_cover[i] is None and f.value(nxt_real) == 1:
-                        nxt_cover[i] = nxt_clock
-                walk(child, nxt_real, nxt_clock, prob * p, nxt_cover)
+                walk(node.child(b), clock, prob * p, steps + [(b, clock)])
 
-        walk(policy.root, 0, 0, ONE, [None] * m)
+        walk(policy.root, 0, ONE, [])
         per_t = tuple(per)
         return PolicyEvaluation(sum(per_t), per_t, horizon, None, None)
     if mode != "monte-carlo":
@@ -342,11 +330,14 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
                          samples: int, seed: int, base_multiplier: int = 8):
     """Monte-Carlo checkpoint decay of the greedy against a reference policy.
 
-    Couples both runs to the same sampled outcomes. R_j counts valuations
-    the greedy covers at clock time >= ceil(8 alpha) * 2^j, R*_j those the
-    policy covers at time >= 2^j. Passes when, for every j, the empirical
-    means satisfy E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three standard
-    errors of the per-outcome difference. Returns (ok, rows) with rows of
+    Couples both runs to the same sampled outcomes. The greedy is replayed
+    from its decision tree (greedy_policy), which gives alg_ag_sto's cover
+    times on every outcome vector, so the instance must fit the adaptive
+    caps. R_j counts valuations the greedy covers at clock time
+    >= ceil(8 alpha) * 2^j, R*_j those the policy covers at time >= 2^j.
+    Passes when, for every j, the empirical means satisfy
+    E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three standard errors of the
+    per-outcome difference. Returns (ok, rows) with rows of
     (j, mean R_j, mean R_{j-1}, mean R*_j, stderr of the difference).
     """
     base = checkpoint_base(inst.valuations.alpha, base_multiplier)
@@ -359,12 +350,13 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
         if base * (1 << j) > horizon and (1 << j) > horizon:
             break
         j += 1
+    greedy = greedy_policy(inst)
     sums = [[0, 0, 0] for _ in levels]          # R_j, R_{j-1}, R*_j
     dsum = [0] * len(levels)                    # 4 R_j - R_{j-1} - 4 R*_j
     dsq = [0] * len(levels)
     for _ in range(samples):
         w = sample_outcome(inst, rng)
-        ct = alg_ag_sto(inst, w).cover_times
+        ct = policy_cover_times(inst, greedy, w)
         ct_star = policy_cover_times(inst, policy, w)
         prev = 0
         for idx, j in enumerate(levels):

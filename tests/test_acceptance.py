@@ -29,7 +29,7 @@ from test_lcst_cuts import (brute_kc_deficit, brute_min_cut, monotone_x,
                             random_cut_tree)
 from test_lcst_lp import integral_point
 from test_orienteering import median_distance, random_cover, random_grid_metric
-from test_stochastic import identity_instance, lemma_instance
+from test_stochastic import c13_fixtures, identity_instance
 from util import random_grouped_tree, single_leaf_tree, tree_tour_optimum, \
     two_level_tree
 
@@ -324,11 +324,8 @@ def test_c12_wssr_ratio():
 
 # 13. stochastic quarter-decay recurrence in Monte Carlo
 def test_c13_stochastic_recurrence():
-    fixtures = [lemma_instance()]
-    fixtures += [random_instance("random-stochastic", 3 + i % 2,
-                                 900 + i).stochastic for i in range(19)]
     failures = 0
-    for inst in fixtures:
+    for inst in c13_fixtures():
         policy, _ = optimal_adaptive(inst)
         ok, _ = check_sto_recurrence(inst, policy, samples=10**4, seed=0)
         failures += not ok

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -197,6 +198,23 @@ def test_zero_denominator_in_file_is_bad_input(tmp_path, capsys):
     code = cli.main(["rank", "--in", str(dest)])
     assert code == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_nonpositive_generator_size_is_bad_input(capsys):
+    for argv in (["gen", "tree:n=-3"], ["gen", "stochastic:n=0"],
+                 ["wssr", "--gen", "stochastic:n=0"]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "n=" in err and "Traceback" not in err, argv
+
+
+def test_explicit_table_refused_before_tabulating(capsys):
+    # 2^20 and 2^30 table entries: refused up front, not after building
+    for argv in (["gen", "grid:n=20:seed=1"], ["gen", "explicit:n=30"]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 2, argv
+        assert time.perf_counter() - start < 5, argv
+        assert "capped" in capsys.readouterr().err
 
 
 def test_exit_code_infeasible(monkeypatch):

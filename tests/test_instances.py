@@ -65,6 +65,24 @@ def test_check_submodular_cap():
         check_submodular(f, 13)
 
 
+def test_first_cover_times_and_never_covered():
+    vs = ValuationSet.singlegroup(4, [[0, 1], [2], [3]], [2, 1, 1])
+    assert vs.first_cover([(0, 5), (2, 7), (1, 9)]) == [9, 7, None]
+    assert vs.first_cover([]) == [None, None, None]
+
+
+def test_first_cover_stops_pulling_at_full_cover():
+    vs = ValuationSet.singlegroup(4, [[0, 1], [2]], [1, 1])
+
+    def steps():
+        yield 3, 1
+        yield 1, 2
+        yield 2, 4
+        raise AssertionError("pulled past full cover")
+
+    assert vs.first_cover(steps()) == [2, 4]
+
+
 def test_epsilon_closed_forms():
     vs = ValuationSet.coverage(5, [[0, 1], [2], [3, 4]])
     assert vs.epsilon == Fraction(1, 3) == compute_epsilon(vs)

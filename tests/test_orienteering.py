@@ -9,8 +9,7 @@ import pytest
 from latcov.errors import CapExceeded
 from latcov.instances.metrics import GridPoints, uniform_metric
 from latcov.instances.valuations import CoverFunction, uniform_term
-from latcov.orienteering import (SopQuery, sop_budget_greedy, sop_exact,
-                                 sop_recursive_greedy)
+from latcov.orienteering import SopQuery, sop_exact, sop_recursive_greedy
 
 
 def dp_best_value(metric, root, g, budget):
@@ -196,34 +195,11 @@ def test_recursive_greedy_ratio_small():
         assert res.value * rho >= exact.value
 
 
-def test_budget_greedy_nothing_affordable():
-    metric = GridPoints(((0, 0), (5, 5), (6, 5))).to_metric()
-    g = CoverFunction(3, [uniform_term(Fraction(1), [1, 2], 1)])
-    res = sop_budget_greedy(SopQuery(metric, 0, g, 2))
-    assert res.path == (0,)
-    assert res.length == 0
-    assert res.value == 0
-
-
 def test_declared_guarantees():
     q = random_query(3)
     n = q.metric.n
     assert sop_exact(q).guarantee == (1, 1)
     assert sop_recursive_greedy(q).guarantee == (math.ceil(math.log2(n)) + 1, 1)
-    assert sop_budget_greedy(q).guarantee == (n, 2)
-
-
-def test_memoized_variant_stays_structurally_valid():
-    for seed in range(12):
-        q = random_query(seed)
-        res = sop_recursive_greedy(q, use_memo=True)
-        assert res.path[0] == q.root
-        assert len(set(res.path)) == len(res.path)
-        assert res.length <= q.budget
-        mask = 0
-        for v in res.path:
-            mask |= 1 << v
-        assert res.value == q.valuation.value(mask)
 
 
 def test_all_solvers_meet_contract_on_seeded_queries():
@@ -234,6 +210,5 @@ def test_all_solvers_meet_contract_on_seeded_queries():
         exact = sop_exact(q)
         assert exact.length <= q.budget
         check_result(q, exact, exact.value)
-        check_result(q, sop_budget_greedy(q), exact.value)
         if seed % 3 == 0:
             check_result(q, sop_recursive_greedy(q), exact.value)

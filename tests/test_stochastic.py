@@ -1,6 +1,7 @@
 """Stochastic adaptive ranking: greedy scores, the exact policy oracle,
 policy evaluation, reductions, and the Monte-Carlo checkpoint lemma."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from latcov.errors import CapExceeded
 from latcov.instances.generators import random_instance
 from latcov.instances.stoch import StochasticInstance
 from latcov.instances.valuations import ValuationSet
-from latcov.ranking import alg_ag, residual_score
+from latcov.ranking import (alg_ag, checkpoint_base, residual_score,
+                            uncovered_at)
 from latcov.stochastic import (alg_ag_sto, check_sto_recurrence,
                                evaluate_policy, greedy_policy,
                                optimal_adaptive, policy_cover_times,
@@ -44,6 +46,57 @@ def lemma_instance():
                 ((2, HALF), (4, HALF)),
                 ((3, HALF), (4, HALF))]
     return reduce_sgmssc(5, sets, [1, 2, 1], supports, (1, 9, 9, 10))
+
+
+def c13_fixtures():
+    """The acceptance battery's recurrence fixtures (C13)."""
+    return [lemma_instance()] + [
+        random_instance("random-stochastic", 3 + i % 2, 900 + i).stochastic
+        for i in range(19)]
+
+
+def rerun_sto_recurrence(inst, policy, samples, seed, base_multiplier=8):
+    """Reference check_sto_recurrence: re-runs alg_ag_sto on every sample
+    instead of replaying the greedy's decision tree."""
+    base = checkpoint_base(inst.valuations.alpha, base_multiplier)
+    horizon = inst.total_length
+    rng = random.Random(f"wssr-mc:{seed}")
+    levels = []
+    j = 0
+    while True:
+        levels.append(j)
+        if base * (1 << j) > horizon and (1 << j) > horizon:
+            break
+        j += 1
+    sums = [[0, 0, 0] for _ in levels]
+    dsum = [0] * len(levels)
+    dsq = [0] * len(levels)
+    for _ in range(samples):
+        w = sample_outcome(inst, rng)
+        ct = alg_ag_sto(inst, w).cover_times
+        ct_star = policy_cover_times(inst, policy, w)
+        prev = 0
+        for idx, j in enumerate(levels):
+            r_j = len(uncovered_at(ct, base * (1 << j)))
+            r_star = len(uncovered_at(ct_star, 1 << j))
+            d = 4 * r_j - prev - 4 * r_star
+            sums[idx][0] += r_j
+            sums[idx][1] += prev
+            sums[idx][2] += r_star
+            dsum[idx] += d
+            dsq[idx] += d * d
+            prev = r_j
+    ok = True
+    rows = []
+    for idx in range(len(levels)):
+        mean_d = dsum[idx] / samples
+        var = (dsq[idx] / samples - mean_d ** 2) * samples / max(1, samples - 1)
+        se = math.sqrt(max(0.0, var) / samples) / 4
+        if mean_d / 4 > 3 * se + 1e-12:
+            ok = False
+        rows.append((levels[idx], sums[idx][0] / samples,
+                     sums[idx][1] / samples, sums[idx][2] / samples, se))
+    return ok, rows
 
 
 def test_score_point_mass_matches_deterministic():
@@ -164,14 +217,22 @@ def test_cap_rejection():
 
 
 def test_greedy_policy_replays_runs():
-    for seed in (1, 6):
-        inst = random_instance("random-stochastic", 4, seed).stochastic
+    fixtures = [random_instance("random-stochastic", 4, seed).stochastic
+                for seed in (1, 6)] + c13_fixtures()
+    for k, inst in enumerate(fixtures):
         gp = greedy_policy(inst)
-        rng = random.Random(f"gp:{seed}")
+        rng = random.Random(f"gp:{k}")
         for _ in range(50):
             w = sample_outcome(inst, rng)
             assert policy_cover_times(inst, gp, w) == \
                 alg_ag_sto(inst, w).cover_times
+
+
+def test_recurrence_matches_per_sample_greedy_reruns():
+    for inst in c13_fixtures():
+        policy, _ = optimal_adaptive(inst)
+        assert check_sto_recurrence(inst, policy, 500, 0) == \
+            rerun_sto_recurrence(inst, policy, 500, 0)
 
 
 def test_evaluate_exact_vs_monte_carlo():
