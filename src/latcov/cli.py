@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import sys
 import time
@@ -389,17 +388,17 @@ def _suite_ranking(seed: int, args) -> tuple[dict, bool]:
     rec_ok, rows = check_recurrence(trace, opt, vs.alpha)
     ratio_ok = order.objective <= 56 * vs.alpha * opt.objective
 
-    # nested random chains against the log bound 1 + ln(1/eps)
+    # nested random chains against alpha, the rational upper bound on
+    # the log bound 1 + ln(1/eps)
     rng = random.Random(f"suite-claim:{seed}")
     full = (1 << vs.n) - 1
-    bound = 1 + math.log(1 / vs.epsilon) + 1e-9
     claim_ok = True
     for fn in vs.functions:
         chain, mask = [0], 0
         while mask != full:
             mask |= rng.getrandbits(vs.n) & full
             chain.append(mask)
-        claim_ok &= float(check_log_claim(fn, chain)) <= bound
+        claim_ok &= check_log_claim(fn, chain) <= vs.alpha
 
     ok = rec_ok and ratio_ok and claim_ok
     r, rn, rd = _ratio_fields(order.objective, opt.objective)

@@ -118,8 +118,9 @@ def random_instance(kind: str, n: int, seed: int) -> Instance:
 
 
 def _random_tree(rng: random.Random, n: int) -> GroupedTree:
-    """Random rooted tree on ~n vertices with 1-3 disjoint leaf groups."""
-    n = max(n, 3)
+    """Random rooted tree on n vertices with 1-3 disjoint leaf groups."""
+    if n < 3:
+        raise ValueError(f"random-tree needs n >= 3, got n={n}")
     parent: list[Optional[int]] = [None]
     weight = [0]
     for v in range(1, n):

@@ -11,6 +11,9 @@ rest of the library needs:
 * ``ExplicitFunction`` -- a value table over all 2^n subsets.
 
 Values are exact rationals throughout; there is no float path here.
+A ``CoverFunction`` and the residual valuations built on it memoize their
+values per mask; the terms are frozen, so a cached value is the exact
+Fraction the computation would return again.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class CoverTerm:
 class CoverFunction:
     """Weighted truncated coverage; monotone submodular by construction."""
 
-    __slots__ = ("n", "terms", "_items", "_full")
+    __slots__ = ("n", "terms", "_items", "_full", "_memo")
 
     def __init__(self, n: int, terms: Sequence[CoverTerm]):
         self.n = n
@@ -69,8 +72,12 @@ class CoverFunction:
             pairs = [(1 << e, u) for e, u in zip(t.members, t.units)]
             self._items.append((t.mask, pairs, sum(t.units) >= 1))
         self._full = (1 << n) - 1
+        self._memo: dict[int, Fraction] = {}
 
     def value(self, mask: int) -> Fraction:
+        cached = self._memo.get(mask)
+        if cached is not None:
+            return cached
         total = ZERO
         for term, (tmask, pairs, sat) in zip(self.terms, self._items):
             if term.weight == 0:
@@ -84,6 +91,7 @@ class CoverFunction:
                 if hit & bit:
                     credit += unit
             total += term.weight * (credit if credit < 1 else ONE)
+        self._memo[mask] = total
         return total
 
 
@@ -267,9 +275,11 @@ def alpha_from_epsilon(epsilon: Fraction) -> Fraction:
     """Rational upper bound on 1 + ln(1/epsilon), tight to 1e-9.
 
     Rounded up at 1e-9 with a one-billionth guard term so the result is
-    certainly >= the exact real value despite float log error.
+    certainly >= the exact real value despite float log error. The log is
+    taken of numerator and denominator separately: `math.log` accepts ints
+    of any size, so a tiny epsilon such as 1/10^400 does not overflow.
     """
-    x = 1.0 + math.log(1 / epsilon)
+    x = 1.0 + math.log(epsilon.denominator) - math.log(epsilon.numerator)
     return Fraction(math.ceil(x * 10**9) + 1, 10**9)
 
 

@@ -31,7 +31,7 @@ class ResidualValuation:
     contributes at most 1, reached exactly when T completes it.
     """
 
-    __slots__ = ("s_mask", "_active")
+    __slots__ = ("s_mask", "_active", "_memo")
 
     def __init__(self, functions: Sequence, s_mask: int):
         self.s_mask = s_mask
@@ -40,6 +40,7 @@ class ResidualValuation:
             base = fn.value(s_mask)
             if base < 1:
                 self._active.append((fn, base, 1 - base))
+        self._memo: dict[int, Fraction] = {}   # keyed by S u T
 
     @property
     def uncovered(self) -> int:
@@ -47,9 +48,13 @@ class ResidualValuation:
 
     def value(self, tmask: int) -> Fraction:
         u = self.s_mask | tmask
+        hit = self._memo.get(u)
+        if hit is not None:
+            return hit
         total = Fraction(0)
         for fn, base, gap in self._active:
             total += (fn.value(u) - base) / gap
+        self._memo[u] = total
         return total
 
 

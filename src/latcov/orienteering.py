@@ -133,7 +133,10 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None
     bounded by the budget over the smallest positive distance, which keeps
     desk-scale runs shallow. The declared guarantee stays
     (ceil(log2 |V|) + 1, 1). The recursion caches on (endpoints, budget,
-    depth, collected mask), which is loss-free.
+    depth, collected mask), which is loss-free. Candidates are compared by
+    g(mask u path) rather than by the gain over g(mask): within one call the
+    subtracted base is the same for all of them, so the exact comparison,
+    and with it the argmax and its tie order, does not change.
     """
     n = q.metric.n
     if n > size_cap(RG_CAP):
@@ -147,21 +150,17 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None
         depth = min(depth, depth_cap)
     memo: dict = {}
 
-    def gain_of(mask: int, add_mask: int, base: Fraction) -> Fraction:
-        return g.value(mask | add_mask) - base
-
     def closed(s: int, t: int, budget: int, depth: int, mask: int):
-        """Best gain path s..t of length <= budget given collected mask.
-        Returns (gain, path) or None if d(s,t) > budget."""
+        """Best path s..t of length <= budget given collected mask.
+        Returns (g(mask u path), path) or None if d(s,t) > budget."""
         if d[s][t] > budget:
             return None
         key = ("c", s, t, budget, depth, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        base = g.value(mask)
         direct = [s, t] if s != t else [s]
-        best = (gain_of(mask, _mask(direct), base), direct)
+        best = (g.value(mask | _mask(direct)), direct)
         if depth > 0:
             for v in range(n):
                 lo, back = d[s][v], d[v][t]
@@ -175,25 +174,24 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None
                     right = closed(v, t, budget - b1, depth - 1, mask | lmask)
                     if right is None:
                         continue
-                    total = gain_of(mask, lmask | _mask(right[1]), base)
+                    total = g.value(mask | lmask | _mask(right[1]))
                     if total > best[0]:
                         best = (total, left[1] + right[1][1:])
         memo[key] = best
         return best
 
     def open_path(s: int, budget: int, depth: int, mask: int):
-        """Best gain path starting at s, free endpoint."""
+        """Best path starting at s, free endpoint."""
         key = ("o", s, budget, depth, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        base = g.value(mask)
-        best = (gain_of(mask, 1 << s, base), [s])
+        best = (g.value(mask | 1 << s), [s])
         for v in range(n):
             if v != s and d[s][v] <= budget:
-                gain = gain_of(mask, (1 << s) | (1 << v), base)
-                if gain > best[0]:
-                    best = (gain, [s, v])
+                val = g.value(mask | 1 << s | 1 << v)
+                if val > best[0]:
+                    best = (val, [s, v])
         if depth > 0:
             for v in range(n):
                 lo = d[s][v]
@@ -205,12 +203,15 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None
                         continue
                     lmask = _mask(left[1])
                     right = open_path(v, budget - b1, depth - 1, mask | lmask)
-                    total = gain_of(mask, lmask | _mask(right[1]), base)
+                    total = g.value(mask | lmask | _mask(right[1]))
                     if total > best[0]:
                         best = (total, left[1] + right[1][1:])
         memo[key] = best
         return best
 
     _, path = open_path(q.root, q.budget, depth, 0)
+    # closed and open_path reach each other through their closure cells, a
+    # cycle that keeps the memo alive until the cycle collector runs
+    memo.clear()
     return _finish(q, path, declared)
 

@@ -59,24 +59,29 @@ class ResidualFunction:
     budgeted path searches.
     """
 
-    __slots__ = ("vs", "s_mask", "_base", "_gaps")
+    __slots__ = ("vs", "s_mask", "_base", "_gaps", "_memo")
 
     def __init__(self, vs: ValuationSet, s_mask: int):
         self.vs = vs
         self.s_mask = s_mask
         self._base = [f.value(s_mask) for f in vs.functions]
         self._gaps = [1 - b for b in self._base]
+        self._memo: dict[int, Fraction] = {}   # keyed by S u T
 
     @property
     def n(self) -> int:
         return self.vs.n
 
     def value(self, t_mask: int) -> Fraction:
-        total = ZERO
         u = self.s_mask | t_mask
+        hit = self._memo.get(u)
+        if hit is not None:
+            return hit
+        total = ZERO
         for f, base, gap in zip(self.vs.functions, self._base, self._gaps):
             if gap > 0:
                 total += (f.value(u) - base) / gap
+        self._memo[u] = total
         return total
 
 

@@ -200,9 +200,23 @@ def test_zero_denominator_in_file_is_bad_input(tmp_path, capsys):
     assert "zero denominator" in capsys.readouterr().err
 
 
+def test_tiny_epsilon_in_file_does_not_overflow(tmp_path, capsys):
+    # alpha = 1 + ln(1/eps) for eps = 1/10^400: 1/eps is past the float range
+    dest = tmp_path / "tiny.lcov"
+    run_cli(capsys, "gen", "explicit:n=3:seed=0", str(dest))
+    lines = dest.read_text().splitlines()
+    (i,) = [k for k, ln in enumerate(lines) if ln.startswith("VALUATIONS")]
+    lines[i] = " ".join(lines[i].split()[:-1] + [f"1/{10**400}"])
+    dest.write_text("\n".join(lines) + "\n")
+    code = cli.main(["rank", "--in", str(dest), "--oracle"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_nonpositive_generator_size_is_bad_input(capsys):
     for argv in (["gen", "tree:n=-3"], ["gen", "stochastic:n=0"],
-                 ["wssr", "--gen", "stochastic:n=0"]):
+                 ["wssr", "--gen", "stochastic:n=0"],
+                 ["gen", "tree:n=1"], ["gen", "tree:n=2"]):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "n=" in err and "Traceback" not in err, argv

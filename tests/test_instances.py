@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from latcov.errors import CapExceeded
-from latcov.instances import (ExplicitFunction, GridPoints, GroupedTree,
+from latcov.instances import (CoverFunction, CoverTerm, ExplicitFunction,
+                              GridPoints, GroupedTree,
                               Metric, ValuationSet, check_submodular,
                               compute_epsilon, cover_times, dumps, loads,
                               metric_closure, min_nonzero_marginal,
@@ -186,3 +188,35 @@ def test_stochastic_instance_validation():
     assert inst.total_length == sum(inst.lengths)
     for supp in inst.supports:
         assert sum(p for _, p in supp) == 1
+
+
+def cover_closed_form(terms, mask):
+    """sum_t w_t * min(1, credits of t's members present in mask)."""
+    total = Fraction(0)
+    for t in terms:
+        credit = sum((u for e, u in zip(t.members, t.units) if mask >> e & 1),
+                     Fraction(0))
+        total += t.weight * min(Fraction(1), credit)
+    return total
+
+
+def test_cover_function_memo_is_transparent():
+    # values read twice, in a shuffled order, equal a fresh object's and the
+    # closed form
+    for seed in range(30):
+        rng = random.Random(f"memo:{seed}")
+        n = rng.randint(1, 8)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            members = sorted(rng.sample(range(n), rng.randint(1, n)))
+            units = tuple(Fraction(rng.randint(1, 4), rng.randint(1, 6))
+                          for _ in members)
+            terms.append(CoverTerm(Fraction(rng.randint(0, 3), 4),
+                                   tuple(members), units))
+        f = CoverFunction(n, terms)
+        masks = list(range(1 << n)) * 2
+        rng.shuffle(masks)
+        for mask in masks:
+            want = cover_closed_form(terms, mask)
+            assert f.value(mask) == want, (seed, mask)
+            assert CoverFunction(n, terms).value(mask) == want, (seed, mask)

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from latcov import orienteering
 from latcov.errors import CapExceeded
+from latcov.instances import random_instance
 from latcov.instances.metrics import GridPoints, uniform_metric
 from latcov.instances.valuations import CoverFunction, uniform_term
 from latcov.orienteering import SopQuery, sop_exact, sop_recursive_greedy
+from latcov.ranking import ResidualFunction
 
 
 def dp_best_value(metric, root, g, budget):
@@ -210,5 +213,109 @@ def test_all_solvers_meet_contract_on_seeded_queries():
         exact = sop_exact(q)
         assert exact.length <= q.budget
         check_result(q, exact, exact.value)
-        if seed % 3 == 0:
-            check_result(q, sop_recursive_greedy(q), exact.value)
+        check_result(q, sop_recursive_greedy(q), exact.value)
+
+
+def gain_recursive_greedy(q, depth_cap=None):
+    """Reference copy of the recursion that compares gains over g(mask).
+
+    The library compares g(mask u path) instead; subtracting the same base
+    from every candidate of one call cannot change an exact comparison.
+    """
+    _mask = orienteering._mask
+    n = q.metric.n
+    d = q.metric.dist
+    g = q.valuation
+    declared = (math.ceil(math.log2(n)) + 1 if n > 1 else 1, 1)
+    kmax = orienteering._path_vertex_bound(q)
+    depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
+    if depth_cap is not None:
+        depth = min(depth, depth_cap)
+    memo = {}
+
+    def gain_of(mask, add_mask, base):
+        return g.value(mask | add_mask) - base
+
+    def closed(s, t, budget, depth, mask):
+        if d[s][t] > budget:
+            return None
+        key = ("c", s, t, budget, depth, mask)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        base = g.value(mask)
+        direct = [s, t] if s != t else [s]
+        best = (gain_of(mask, _mask(direct), base), direct)
+        if depth > 0:
+            for v in range(n):
+                lo, back = d[s][v], d[v][t]
+                if lo + back > budget:
+                    continue
+                for b1 in range(lo, budget - back + 1):
+                    left = closed(s, v, b1, depth - 1, mask)
+                    if left is None:
+                        continue
+                    lmask = _mask(left[1])
+                    right = closed(v, t, budget - b1, depth - 1, mask | lmask)
+                    if right is None:
+                        continue
+                    total = gain_of(mask, lmask | _mask(right[1]), base)
+                    if total > best[0]:
+                        best = (total, left[1] + right[1][1:])
+        memo[key] = best
+        return best
+
+    def open_path(s, budget, depth, mask):
+        key = ("o", s, budget, depth, mask)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        base = g.value(mask)
+        best = (gain_of(mask, 1 << s, base), [s])
+        for v in range(n):
+            if v != s and d[s][v] <= budget:
+                gain = gain_of(mask, (1 << s) | (1 << v), base)
+                if gain > best[0]:
+                    best = (gain, [s, v])
+        if depth > 0:
+            for v in range(n):
+                lo = d[s][v]
+                if lo > budget:
+                    continue
+                for b1 in range(lo, budget + 1):
+                    left = closed(s, v, b1, depth - 1, mask)
+                    if left is None:
+                        continue
+                    lmask = _mask(left[1])
+                    right = open_path(v, budget - b1, depth - 1, mask | lmask)
+                    total = gain_of(mask, lmask | _mask(right[1]), base)
+                    if total > best[0]:
+                        best = (total, left[1] + right[1][1:])
+        memo[key] = best
+        return best
+
+    _, path = open_path(q.root, q.budget, depth, 0)
+    return orienteering._finish(q, path, declared)
+
+
+def test_value_compare_matches_gain_compare_on_seeded_queries():
+    for seed in range(300):
+        q = random_query(seed)
+        assert sop_recursive_greedy(q) == gain_recursive_greedy(q), seed
+
+
+def test_value_compare_matches_gain_compare_on_residual_queries():
+    # the CLI's sop query (residual of the empty set, budget twice the
+    # diameter) and a residual with the root and one vertex scheduled
+    for n in (7, 8, 9):
+        for seed in range(4):
+            inst = random_instance("euclidean-grid-metric", n, seed)
+            metric, vs = inst.metric, inst.valuations
+            for s_mask, budget in ((0, 2 * metric.diameter),
+                                   (1 << metric.root | 1 << n - 1,
+                                    metric.diameter)):
+                def query():
+                    return SopQuery(metric, metric.root,
+                                    ResidualFunction(vs, s_mask), budget)
+                assert (sop_recursive_greedy(query())
+                        == gain_recursive_greedy(query())), (n, seed, s_mask)

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from latcov.instances import ValuationSet, check_submodular, random_instance
+from latcov.instances import (CoverFunction, ValuationSet, check_submodular,
+                              random_instance)
+from latcov.instances.generators import random_valuations
+from latcov.mlsc import ResidualValuation
 from latcov.ranking import (ResidualFunction, alg_ag, brute_force_ranking,
                             check_log_claim, check_recurrence, residual_score)
 from util import pairwise_submodular, perm_optimum
@@ -198,3 +201,24 @@ def test_mssc_special_case_ratio_four():
         order, _ = alg_ag(vs)
         opt = brute_force_ranking(vs)
         assert order.objective <= 4 * opt.objective
+
+
+def test_residual_memos_are_per_scheduled_set():
+    # residuals over the same functions but different S share the function
+    # memos; each must still return its own value for every shared T
+    for seed in range(6):
+        vs = random_valuations("singlegroup", 6, seed)
+        fresh = [CoverFunction(f.n, f.terms) for f in vs.functions]
+        full = (1 << vs.n) - 1
+        for s1, s2 in ((0, 0b000011), (0b000101, 0b101000)):
+            pairs = []
+            for s in (s1, s2):
+                pairs += [(s, ResidualFunction(vs, s)),
+                          (s, ResidualValuation(vs.functions, s))]
+            for t in list(range(full + 1)) * 2:
+                for s, res in pairs:
+                    want = sum(((f.value(s | t) - f.value(s))
+                                / (1 - f.value(s))
+                                for f in fresh if f.value(s) < 1),
+                               Fraction(0))
+                    assert res.value(t) == want, (seed, s, t)
