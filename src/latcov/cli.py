@@ -297,6 +297,8 @@ def cmd_lcst(args, cfg: RunConfig):
 
 
 def _stochastic_records(st, args, cfg: RunConfig, command: str):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     try:
         policy = greedy_policy(st)
         ev = evaluate_policy(st, policy, mode="exact")

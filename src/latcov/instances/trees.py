@@ -143,15 +143,6 @@ class GroupedTree:
             stack.extend(reversed(self.children[u]))
         return order
 
-    def subtree_leaves(self, v: int) -> tuple[int, ...]:
-        out, stack = [], [v]
-        while stack:
-            u = stack.pop()
-            if u != self.root and not self.children[u]:
-                out.append(u)
-            stack.extend(self.children[u])
-        return tuple(sorted(out))
-
     # ---- tours -------------------------------------------------------------
 
     def euler_tour(self, selected: Optional[set[int]] = None) -> list[int]:

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ..errors import CapExceeded, size_cap
-from ..sets import bits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -6,20 +6,28 @@ element by the expected residual gain of its realization per unit length;
 independence makes conditioning on the observed prefix vacuous, so the
 expectation runs over the element's own distribution and is exact.
 
+A policy is a rule on knowledge states (scheduled set, realized set), both
+bitmasks: it names the next element, or None to stop. Replay asks it state
+by state along one outcome vector; exact evaluation branches on the chosen
+element's support. greedy_policy computes its rule lazily, one cached state
+at a time, so it has no size cap. optimal_adaptive is backward induction
+over the same states; that space is exponential, so it and exact evaluation
+are capped very small.
+
 Cover times are clock times (prefix sums of lengths). A valuation no
 realization satisfies pays the full schedule length, the maximum time any
-schedule can reach. optimal_adaptive is an exact decision-tree oracle by
-backward induction over (scheduled, realized) knowledge states; the state
-space is exponential, so it is capped very small.
+schedule can reach.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, size_cap
 from .instances.stoch import StochasticInstance, Support
@@ -29,6 +37,9 @@ from .ranking import checkpoint_base, uncovered_at
 
 ADAPTIVE_ELEMENT_CAP = 4
 ADAPTIVE_SUPPORT_CAP = 3
+
+# (scheduled mask, realized mask) -> next element, or None to stop
+AdaptivePolicy = Callable[[int, int], Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -40,25 +51,6 @@ class RealizedSchedule:
     finish: tuple[int, ...]       # clock time each element completed
     cover_times: tuple[int, ...]  # per valuation; horizon if never covered
     objective: int
-
-
-@dataclass(frozen=True)
-class PolicyNode:
-    """Decision-tree node: schedule `element`, branch on its realization."""
-
-    element: Optional[int]        # None at a leaf
-    children: tuple[tuple[int, "PolicyNode"], ...]
-
-    def child(self, point: int) -> "PolicyNode":
-        for b, node in self.children:
-            if b == point:
-                return node
-        raise ValueError(f"policy has no branch for realization {point}")
-
-
-@dataclass(frozen=True)
-class AdaptivePolicy:
-    root: PolicyNode
 
 
 @dataclass(frozen=True)
@@ -108,65 +100,52 @@ def sample_outcome(inst: StochasticInstance, rng: random.Random
     return tuple(_draw(supp, rng) for supp in inst.supports)
 
 
-def alg_ag_sto(inst: StochasticInstance, outcome) -> RealizedSchedule:
+def _replay(inst: StochasticInstance, policy: AdaptivePolicy,
+            outcome: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """Run a policy against a fixed outcome vector, yielding (element,
+    point, clock) per scheduled element until the policy stops."""
+    supports, lengths = inst.supports, inst.lengths
+    scheduled = realized = clock = 0
+    while (e := policy(scheduled, realized)) is not None:
+        b = outcome[e]
+        for pt, _ in supports[e]:
+            if pt == b:
+                break
+        else:
+            raise ValueError(f"outcome {b} not in element {e}'s support")
+        scheduled |= 1 << e
+        realized |= 1 << b
+        clock += lengths[e]
+        yield e, b, clock
+
+
+def _cover_times(inst: StochasticInstance,
+                 steps: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
+    """Cover times along (element, point, clock) steps."""
+    horizon = inst.total_length
+    return tuple(horizon if c is None else c for c in
+                 inst.valuations.first_cover(map(itemgetter(1, 2), steps)))
+
+
+def alg_ag_sto(inst: StochasticInstance,
+               outcome: Sequence[int]) -> RealizedSchedule:
     """Adaptive greedy: argmax expected residual score, smallest index on
     ties, observing each draw before the next choice.
 
-    outcome is a full realization vector (replayed deterministically), an
-    int seed, or a random.Random; with a vector the run is a deterministic
-    function of the instance and the vector.
+    outcome is a full realization vector, one support point per element;
+    the run is greedy_policy replayed on it, a deterministic function of
+    the instance and the vector.
     """
-    if isinstance(outcome, int):
-        outcome = random.Random(f"wssr:{outcome}")
-    if isinstance(outcome, random.Random):
-        draw = lambda e: _draw(inst.supports[e], outcome)
-    else:
-        fixed = tuple(outcome)
-        if len(fixed) != inst.n:
-            raise ValueError("outcome vector must cover every element")
-        for e, b in enumerate(fixed):
-            if b not in [pt for pt, _ in inst.supports[e]]:
-                raise ValueError(f"outcome {b} not in element {e}'s support")
-        draw = lambda e: fixed[e]
-
-    order: list[int] = []
-    points: list[int] = []
-    finish: list[int] = []
-
-    def steps():
-        scheduled = realized = clock = 0
-        while True:
-            e = _greedy_choice(inst, scheduled, realized)
-            if e is None:
-                return  # everything scheduled; the rest never cover
-            scheduled |= 1 << e
-            b = draw(e)
-            clock += inst.lengths[e]
-            realized |= 1 << b
-            order.append(e)
-            points.append(b)
-            finish.append(clock)
-            yield b, clock
-
-    horizon = inst.total_length
-    times = tuple(horizon if c is None else c
-                  for c in inst.valuations.first_cover(steps()))
-    return RealizedSchedule(tuple(order), tuple(points), tuple(finish),
-                            times, sum(times))
-
-
-def _greedy_choice(inst: StochasticInstance, scheduled: int,
-                   realized: int) -> Optional[int]:
-    """Unscheduled element of largest sto_residual_score, smallest index on
-    ties; None once every element is scheduled."""
-    best_e, best = None, None
-    for e in range(inst.n):
-        if scheduled & (1 << e):
-            continue
-        score = sto_residual_score(inst, scheduled, realized, e)
-        if best is None or score > best:
-            best_e, best = e, score
-    return best_e
+    outcome = tuple(outcome)
+    if len(outcome) != inst.n:
+        raise ValueError("outcome vector must cover every element")
+    for e, b in enumerate(outcome):
+        if b not in [pt for pt, _ in inst.supports[e]]:
+            raise ValueError(f"outcome {b} not in element {e}'s support")
+    steps = list(_replay(inst, greedy_policy(inst), outcome))
+    times = _cover_times(inst, steps)
+    columns = [tuple(col) for col in zip(*steps)] or [(), (), ()]
+    return RealizedSchedule(*columns, times, sum(times))
 
 
 def _check_adaptive_cap(inst: StochasticInstance, what: str):
@@ -190,7 +169,8 @@ def optimal_adaptive(inst: StochasticInstance
     length * #uncovered, which telescopes to the summed cover times under
     the horizon convention; scheduling continues while anything is
     uncovered, and stopping early is never cheaper than that convention.
-    Ties go to the smallest element index.
+    Ties go to the smallest element index. The policy reads the choice off
+    the induction's memo.
     """
     _check_adaptive_cap(inst, "optimal_adaptive")
     functions = inst.valuations.functions
@@ -218,65 +198,40 @@ def optimal_adaptive(inst: StochasticInstance
         return memo[key]
 
     total, _ = solve(0, 0)
-
-    def build(scheduled: int, realized: int) -> PolicyNode:
-        e = solve(scheduled, realized)[1]
-        if e is None:
-            return PolicyNode(None, ())
-        kids = tuple((b, build(scheduled | (1 << e), realized | (1 << b)))
-                     for b, _ in inst.supports[e])
-        return PolicyNode(e, kids)
-
-    return AdaptivePolicy(build(0, 0)), total
+    return (lambda scheduled, realized: solve(scheduled, realized)[1]), total
 
 
 def greedy_policy(inst: StochasticInstance) -> AdaptivePolicy:
-    """The greedy's decision tree, materialized.
+    """alg_ag_sto's choice as a rule on knowledge states.
 
-    alg_ag_sto's choice depends only on (scheduled, realized), so the whole
-    policy unrolls state by state; replaying it on any outcome vector gives
-    the same schedule as alg_ag_sto on that vector. Same caps as the exact
-    oracle, since the tree enumerates every realization path.
+    Stops once every valuation is covered; otherwise picks the unscheduled
+    element of largest sto_residual_score, smallest index on ties, and
+    None once every element is scheduled. Each state is computed when
+    first asked and cached, so only the states a caller visits cost
+    anything and there is no size cap.
     """
-    _check_adaptive_cap(inst, "greedy_policy")
     functions = inst.valuations.functions
-    full = (1 << inst.n) - 1
-    memo: dict[tuple[int, int], PolicyNode] = {}
 
-    def build(scheduled: int, realized: int) -> PolicyNode:
-        key = (scheduled, realized)
-        if key in memo:
-            return memo[key]
-        done = all(f.value(realized) == 1 for f in functions)
-        if done or scheduled == full:
-            node = PolicyNode(None, ())
-        else:
-            best_e = _greedy_choice(inst, scheduled, realized)
-            kids = tuple(
-                (b, build(scheduled | (1 << best_e), realized | (1 << b)))
-                for b, _ in inst.supports[best_e])
-            node = PolicyNode(best_e, kids)
-        memo[key] = node
-        return node
+    @functools.cache
+    def rule(scheduled: int, realized: int) -> Optional[int]:
+        if all(f.value(realized) == 1 for f in functions):
+            return None
+        best_e, best = None, None
+        for e in range(inst.n):
+            if scheduled & (1 << e):
+                continue
+            score = sto_residual_score(inst, scheduled, realized, e)
+            if best is None or score > best:
+                best_e, best = e, score
+        return best_e
 
-    return AdaptivePolicy(build(0, 0))
+    return rule
 
 
 def policy_cover_times(inst: StochasticInstance, policy: AdaptivePolicy,
                        outcome: Sequence[int]) -> tuple[int, ...]:
     """Replay a policy against one fixed realization vector."""
-
-    def steps():
-        node, clock = policy.root, 0
-        while node.element is not None:
-            e = node.element
-            clock += inst.lengths[e]
-            yield outcome[e], clock
-            node = node.child(outcome[e])
-
-    horizon = inst.total_length
-    return tuple(horizon if c is None else c
-                 for c in inst.valuations.first_cover(steps()))
+    return _cover_times(inst, _replay(inst, policy, outcome))
 
 
 def evaluate_policy(inst: StochasticInstance, policy: AdaptivePolicy,
@@ -295,22 +250,24 @@ def evaluate_policy(inst: StochasticInstance, policy: AdaptivePolicy,
         _check_adaptive_cap(inst, "exact policy evaluation")
         per = [ZERO] * m
 
-        def walk(node, clock, prob, steps):
-            if node.element is None:
-                cover = inst.valuations.first_cover(steps)
-                for i, c in enumerate(cover):
-                    per[i] += prob * (horizon if c is None else c)
+        def walk(scheduled, realized, clock, prob, steps):
+            e = policy(scheduled, realized)
+            if e is None:
+                for i, c in enumerate(_cover_times(inst, steps)):
+                    per[i] += prob * c
                 return
-            e = node.element
             clock += inst.lengths[e]
             for b, p in inst.supports[e]:
-                walk(node.child(b), clock, prob * p, steps + [(b, clock)])
+                walk(scheduled | (1 << e), realized | (1 << b), clock,
+                     prob * p, steps + [(e, b, clock)])
 
-        walk(policy.root, 0, ONE, [])
+        walk(0, 0, 0, ONE, [])
         per_t = tuple(per)
         return PolicyEvaluation(sum(per_t), per_t, horizon, None, None)
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(f"wssr-eval:{seed}")
     per_sum = [0] * m
     totals = []
@@ -330,16 +287,18 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
                          samples: int, seed: int, base_multiplier: int = 8):
     """Monte-Carlo checkpoint decay of the greedy against a reference policy.
 
-    Couples both runs to the same sampled outcomes. The greedy is replayed
-    from its decision tree (greedy_policy), which gives alg_ag_sto's cover
-    times on every outcome vector, so the instance must fit the adaptive
-    caps. R_j counts valuations the greedy covers at clock time
+    Couples both runs to the same sampled outcomes; the greedy side replays
+    greedy_policy, which gives alg_ag_sto's cover times on every outcome
+    vector. R_j counts valuations the greedy covers at clock time
     >= ceil(8 alpha) * 2^j, R*_j those the policy covers at time >= 2^j.
     Passes when, for every j, the empirical means satisfy
     E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three standard errors of the
-    per-outcome difference. Returns (ok, rows) with rows of
+    per-outcome difference; the test runs on the integer sums, so no float
+    rounding decides it. Returns (ok, rows) with rows of
     (j, mean R_j, mean R_{j-1}, mean R*_j, stderr of the difference).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     base = checkpoint_base(inst.valuations.alpha, base_multiplier)
     horizon = inst.total_length
     rng = random.Random(f"wssr-mc:{seed}")
@@ -371,12 +330,15 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
             prev = r_j
     ok = True
     rows = []
+    dof = max(1, samples - 1)
     for idx in range(len(levels)):
-        mean_d = dsum[idx] / samples
-        var = (dsq[idx] / samples - mean_d ** 2) * samples / max(1, samples - 1)
-        se = math.sqrt(max(0.0, var) / samples) / 4  # d was scaled by 4
-        if mean_d / 4 > 3 * se + 1e-12:
+        ds = dsum[idx]
+        # mean d > 3 se of d, squared and scaled by samples^2 * dof
+        if ds > 0 and ds * ds * dof > 9 * (dsq[idx] * samples - ds * ds):
             ok = False
+        mean_d = ds / samples
+        var = (dsq[idx] / samples - mean_d ** 2) * samples / dof
+        se = math.sqrt(max(0.0, var) / samples) / 4  # d was scaled by 4
         rows.append((levels[idx], sums[idx][0] / samples,
                      sums[idx][1] / samples, sums[idx][2] / samples, se))
     return ok, rows

@@ -222,6 +222,18 @@ def test_nonpositive_generator_size_is_bad_input(capsys):
         assert "n=" in err and "Traceback" not in err, argv
 
 
+def test_nonpositive_samples_is_bad_input(capsys):
+    gen6 = ["--gen", "stochastic:n=6:seed=1"]
+    for argv in (["wssr", *gen6, "--samples", "0"],
+                 ["wssr", *gen6, "--samples", "-3"],
+                 ["wssr", "--gen", "stochastic:n=3:seed=1", "--samples", "0",
+                  "--oracle"],
+                 ["suite", "wssr-lemmas", "--seeds", "1", "--samples", "0"]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "samples" in err and "Traceback" not in err, argv
+
+
 def test_explicit_table_refused_before_tabulating(capsys):
     # 2^20 and 2^30 table entries: refused up front, not after building
     for argv in (["gen", "grid:n=20:seed=1"], ["gen", "explicit:n=30"]):

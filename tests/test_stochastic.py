@@ -13,11 +13,12 @@ from latcov.instances.stoch import StochasticInstance
 from latcov.instances.valuations import ValuationSet
 from latcov.ranking import (alg_ag, checkpoint_base, residual_score,
                             uncovered_at)
-from latcov.stochastic import (alg_ag_sto, check_sto_recurrence,
-                               evaluate_policy, greedy_policy,
-                               optimal_adaptive, policy_cover_times,
-                               reduce_filter, reduce_sgmssc, reduce_ssc,
-                               sample_outcome, sto_residual_score)
+from latcov.stochastic import (RealizedSchedule, alg_ag_sto,
+                               check_sto_recurrence, evaluate_policy,
+                               greedy_policy, optimal_adaptive,
+                               policy_cover_times, reduce_filter,
+                               reduce_sgmssc, reduce_ssc, sample_outcome,
+                               sto_residual_score)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -55,9 +56,46 @@ def c13_fixtures():
         for i in range(19)]
 
 
+def stepwise_greedy(inst, outcome):
+    """Test-only reference for alg_ag_sto: the adaptive greedy as a plain
+    step loop, recomputing the argmax of sto_residual_score (strict >, so
+    the smallest index wins ties) at every step, with no policy and no
+    cache. first_cover stops pulling steps once everything is covered."""
+    order, points, finish = [], [], []
+
+    def steps():
+        scheduled = realized = clock = 0
+        while True:
+            best_e, best = None, None
+            for e in range(inst.n):
+                if scheduled & (1 << e):
+                    continue
+                score = sto_residual_score(inst, scheduled, realized, e)
+                if best is None or score > best:
+                    best_e, best = e, score
+            if best_e is None:
+                return
+            scheduled |= 1 << best_e
+            b = outcome[best_e]
+            clock += inst.lengths[best_e]
+            realized |= 1 << b
+            order.append(best_e)
+            points.append(b)
+            finish.append(clock)
+            yield b, clock
+
+    horizon = inst.total_length
+    times = tuple(horizon if c is None else c
+                  for c in inst.valuations.first_cover(steps()))
+    return RealizedSchedule(tuple(order), tuple(points), tuple(finish),
+                            times, sum(times))
+
+
 def rerun_sto_recurrence(inst, policy, samples, seed, base_multiplier=8):
-    """Reference check_sto_recurrence: re-runs alg_ag_sto on every sample
-    instead of replaying the greedy's decision tree."""
+    """Reference check_sto_recurrence: re-runs stepwise_greedy on every
+    sample instead of replaying greedy_policy, and decides each level in
+    floats (mean / 4 > 3 se); the float and integer tests agree whenever
+    the two sides are not within round-off of each other."""
     base = checkpoint_base(inst.valuations.alpha, base_multiplier)
     horizon = inst.total_length
     rng = random.Random(f"wssr-mc:{seed}")
@@ -73,7 +111,7 @@ def rerun_sto_recurrence(inst, policy, samples, seed, base_multiplier=8):
     dsq = [0] * len(levels)
     for _ in range(samples):
         w = sample_outcome(inst, rng)
-        ct = alg_ag_sto(inst, w).cover_times
+        ct = stepwise_greedy(inst, w).cover_times
         ct_star = policy_cover_times(inst, policy, w)
         prev = 0
         for idx, j in enumerate(levels):
@@ -145,7 +183,6 @@ def test_replay_invariance():
     for _ in range(10):
         w = sample_outcome(inst, rng)
         assert alg_ag_sto(inst, w) == alg_ag_sto(inst, w)
-    assert alg_ag_sto(inst, 5) == alg_ag_sto(inst, 5)  # seeded sampler form
 
 
 def test_outcome_vector_validation():
@@ -154,43 +191,46 @@ def test_outcome_vector_validation():
         alg_ag_sto(inst, (0,))        # too short
     with pytest.raises(ValueError):
         alg_ag_sto(inst, (0, 0))      # element 1 never realizes point 0
+    # replay checks each point the policy reaches: element 0 draws junk,
+    # then element 1 is scheduled and its point 0 is off its support
+    for policy in (greedy_policy(inst), optimal_adaptive(inst)[0]):
+        with pytest.raises(ValueError, match="support"):
+            policy_cover_times(inst, policy, (1, 0))
 
 
 def test_hand_case_optimal():
     inst = coin_instance()
     policy, cost = optimal_adaptive(inst)
     assert cost == Fraction(7, 2)     # l_A + (1/2) l_B, forced order
-    root = policy.root
-    assert root.element == 0
-    good = root.child(0)
-    bad = root.child(1)
-    assert good.element is None
-    assert bad.element == 1 and bad.child(1).element is None
+    assert policy(0b00, 0b00) == 0
+    assert policy(0b01, 0b01) is None   # element 0 drew the target
+    assert policy(0b01, 0b10) == 1      # element 0 drew junk
+    assert policy(0b11, 0b10) is None   # everything scheduled
     assert policy_cover_times(inst, policy, (1, 1)) == (5,)  # horizon charge
     assert policy_cover_times(inst, policy, (0, 1)) == (2,)
 
 
 def test_policy_tree_invariants():
+    # on every reachable state a policy stops exactly when everything is
+    # covered or scheduled, and never repeats an element
     for inst in (coin_instance(),
                  random_instance("random-stochastic", 4, 2).stochastic,
                  lemma_instance()):
-        policy, _ = optimal_adaptive(inst)
         functions = inst.valuations.functions
         full = (1 << inst.n) - 1
+        for policy in (optimal_adaptive(inst)[0], greedy_policy(inst)):
 
-        def walk(node, scheduled, realized):
-            if node.element is None:
+            def walk(scheduled, realized):
+                e = policy(scheduled, realized)
                 covered = all(f.value(realized) == 1 for f in functions)
-                assert covered or scheduled == full
-                return
-            e = node.element
-            assert not scheduled & (1 << e)  # no repeats on any path
-            assert tuple(b for b, _ in node.children) == \
-                tuple(b for b, _ in inst.supports[e])  # full support branch
-            for b, child in node.children:
-                walk(child, scheduled | (1 << e), realized | (1 << b))
+                assert (e is None) == (covered or scheduled == full)
+                if e is None:
+                    return
+                assert not scheduled & (1 << e)
+                for b, _ in inst.supports[e]:
+                    walk(scheduled | (1 << e), realized | (1 << b))
 
-        walk(policy.root, 0, 0)
+            walk(0, 0)
 
 
 def test_optimal_at_most_greedy():
@@ -214,18 +254,26 @@ def test_cap_rejection():
         (1, 1, 1, 1), ValuationSet.coverage(4, [[0, 1, 2, 3]]))
     with pytest.raises(CapExceeded):
         optimal_adaptive(wide)
+    # the greedy rule is lazy and uncapped; exact evaluation stays capped
+    assert alg_ag_sto(big, tuple(range(5))).objective == 1
+    with pytest.raises(CapExceeded, match="knowledge states"):
+        evaluate_policy(big, greedy_policy(big))
 
 
 def test_greedy_policy_replays_runs():
+    # n=6..8 is past the exact caps, so only the lazy rule can replay it
     fixtures = [random_instance("random-stochastic", 4, seed).stochastic
-                for seed in (1, 6)] + c13_fixtures()
+                for seed in (1, 6)] + c13_fixtures() + [
+        random_instance("random-stochastic", n, seed).stochastic
+        for n in (6, 7, 8) for seed in range(4)]
     for k, inst in enumerate(fixtures):
         gp = greedy_policy(inst)
         rng = random.Random(f"gp:{k}")
         for _ in range(50):
             w = sample_outcome(inst, rng)
-            assert policy_cover_times(inst, gp, w) == \
-                alg_ag_sto(inst, w).cover_times
+            ref = stepwise_greedy(inst, w)
+            assert alg_ag_sto(inst, w) == ref
+            assert policy_cover_times(inst, gp, w) == ref.cover_times
 
 
 def test_recurrence_matches_per_sample_greedy_reruns():
@@ -233,6 +281,30 @@ def test_recurrence_matches_per_sample_greedy_reruns():
         policy, _ = optimal_adaptive(inst)
         assert check_sto_recurrence(inst, policy, 500, 0) == \
             rerun_sto_recurrence(inst, policy, 500, 0)
+
+
+def test_recurrence_verdict_matches_float_rule_across_threshold():
+    # the greedy takes element 8 (length 8, covers all eight valuations)
+    # while the reference runs the cheap elements in index order and covers
+    # about 2.7 valuations by time 4, so level 2 has a positive mean
+    # difference; as the sample count grows its t-statistic crosses 3
+    p = Fraction(9, 10)
+    inst = reduce_sgmssc(
+        10, [[i, 9] for i in range(8)], [1] * 8,
+        [((i, p), (8, 1 - p)) for i in range(8)] + [((9, Fraction(1)),)],
+        (1,) * 8 + (8,))
+    assert greedy_policy(inst)(0, 0) == 8
+
+    def in_order(scheduled, realized):
+        return next((e for e in range(inst.n) if not scheduled >> e & 1),
+                    None)
+
+    verdicts = set()
+    for samples in range(1, 41):
+        got = check_sto_recurrence(inst, in_order, samples, 0, 1)
+        assert got == rerun_sto_recurrence(inst, in_order, samples, 0, 1)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_evaluate_exact_vs_monte_carlo():
