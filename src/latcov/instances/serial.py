@@ -31,6 +31,7 @@ from .trees import GroupedTree
 from .valuations import CoverFunction, CoverTerm, ExplicitFunction, ValuationSet
 
 FORMAT_KINDS = ("ranking", "mlsc", "lcst", "wssr")
+HEADER_FIELDS = {"METRIC": 2, "TREE": 2, "VALUATIONS": 4, "STOCHASTIC": 2}
 
 
 def _rat(x: Fraction) -> str:
@@ -138,6 +139,8 @@ def loads(text: str) -> Instance:
         tag = toks[0]
         if tag == "END":
             break
+        if tag in HEADER_FIELDS and len(toks) != 1 + HEADER_FIELDS[tag]:
+            raise ValueError(f"{tag} takes {HEADER_FIELDS[tag]} fields")
         if tag == "METRIC":
             n, root = int(toks[1]), int(toks[2])
             rows = [[int(x) for x in take().split()] for _ in range(n)]
@@ -148,10 +151,12 @@ def loads(text: str) -> Instance:
             weight = [0] * nv
             for _ in range(nv - 1):
                 v, p, w = (int(x) for x in take().split())
+                if not 0 <= v < nv:
+                    raise ValueError(f"tree vertex {v} out of range")
                 parent[v], weight[v] = p, w
             gline = take().split()
-            if gline[0] != "GROUPS":
-                raise ValueError("TREE section must be followed by GROUPS")
+            if len(gline) != 2 or gline[0] != "GROUPS":
+                raise ValueError("TREE must be followed by 'GROUPS <count>'")
             groups, reqs = [], []
             for _ in range(int(gline[1])):
                 k_part, members = take().split(" : ", 1)
@@ -171,6 +176,8 @@ def loads(text: str) -> Instance:
                 len_part, body = take().split(" : ", 1)
                 lengths.append(int(len_part))
                 items = body.split()
+                if len(items) % 2:
+                    raise ValueError("support needs point/probability pairs")
                 supp = tuple((int(items[i]), _parse_rat(items[i + 1]))
                              for i in range(0, len(items), 2))
                 supports.append(supp)
@@ -195,7 +202,7 @@ def loads(text: str) -> Instance:
 
 
 def _parse_function(line: str, n: int):
-    toks = line.split()
+    toks = line.split() or [""]
     if toks[0] == "explicit":
         table = [_parse_rat(t) for t in toks[1:]]
         return ExplicitFunction(n, table)
@@ -203,6 +210,8 @@ def _parse_function(line: str, n: int):
         raise ValueError(f"unknown function encoding {toks[0]!r}")
     chunks = line.split(" ; ")
     head = chunks[0].split()
+    if len(head) != 2:
+        raise ValueError("expected 'wtc <nterms>'")
     nterms = int(head[1])
     if len(chunks) - 1 != nterms:
         raise ValueError("term count mismatch")

@@ -87,7 +87,7 @@ class GroupedTree:
             if not 1 <= k <= len(g):
                 raise ValueError("requirement must be in 1..|group|")
             for v in g:
-                if v == self.root or kids[v] != 0:
+                if not 0 <= v < n or v == self.root or kids[v] != 0:
                     raise ValueError("group members must be non-root leaves")
                 if v in member_seen:
                     raise ValueError("groups must be disjoint")

@@ -10,10 +10,15 @@ rest of the library needs:
   function) are all instances with uniform unit credits u = 1/k.
 * ``ExplicitFunction`` -- a value table over all 2^n subsets.
 
+``ResidualFunction`` is the one residual valuation, f^S(T) = sum over f_i
+uncovered at S of (f_i(S u T) - f_i(S)) / (1 - f_i(S)). The ranking greedy,
+the budgeted path searches and the MLSC phases score with it; the
+stochastic greedy takes its expectation over one element's draw.
+
 Values are exact rationals throughout; there is no float path here.
-A ``CoverFunction`` and the residual valuations built on it memoize their
-values per mask; the terms are frozen, so a cached value is the exact
-Fraction the computation would return again.
+A ``CoverFunction`` and a ``ResidualFunction`` memoize their values per
+mask; the terms are frozen, so a cached value is the exact Fraction the
+computation would return again.
 """
 
 from __future__ import annotations
@@ -107,6 +112,41 @@ class ExplicitFunction:
 
     def value(self, mask: int) -> Fraction:
         return self.table[mask]
+
+
+class ResidualFunction:
+    """Scaled residual T -> sum over f_i uncovered at S of
+    (f_i(S u T) - f_i(S)) / (1 - f_i(S)).
+
+    Monotone submodular whenever every f_i is; each uncovered valuation
+    contributes at most 1, reached exactly when T completes it.
+    """
+
+    __slots__ = ("s_mask", "_active", "_memo")
+
+    def __init__(self, vs: ValuationSet, s_mask: int):
+        self.s_mask = s_mask
+        self._active = []   # (f_i, f_i(S), 1 - f_i(S)) for uncovered f_i
+        for f in vs.functions:
+            base = f.value(s_mask)
+            if base < 1:
+                self._active.append((f, base, 1 - base))
+        self._memo: dict[int, Fraction] = {}   # keyed by S u T
+
+    @property
+    def uncovered(self) -> int:
+        return len(self._active)
+
+    def value(self, t_mask: int) -> Fraction:
+        u = self.s_mask | t_mask
+        hit = self._memo.get(u)
+        if hit is not None:
+            return hit
+        total = ZERO
+        for f, base, gap in self._active:
+            total += (f.value(u) - base) / gap
+        self._memo[u] = total
+        return total
 
 
 def uniform_term(weight: Fraction, members: Sequence[int], k: int) -> CoverTerm:

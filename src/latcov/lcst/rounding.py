@@ -123,10 +123,8 @@ def flow_adjust(tree: GroupedTree, xbar, contracted, ybar, tol=0) -> dict:
     return adjusted
 
 
-def level_marginals(tree: GroupedTree, sol: LpSolution, lv: int, tol=None):
+def level_marginals(tree: GroupedTree, sol: LpSolution, lv: int):
     """One level's (contracted set, adjusted fractions, sampling marginals)."""
-    if tol is None:
-        tol = 0 if sol.exact else FLOAT_TOL
     quarter = Fraction(1, 4) if sol.exact else 0.25
     one = Fraction(1) if sol.exact else 1.0
     x = sol.x[lv]
@@ -137,7 +135,8 @@ def level_marginals(tree: GroupedTree, sol: LpSolution, lv: int, tol=None):
         p = tree.parent[v]
         if x[v] >= quarter and (p == tree.root or p in contracted):
             contracted.add(v)
-    adjusted = flow_adjust(tree, x, contracted, sol.y[lv], tol=tol)
+    adjusted = flow_adjust(tree, x, contracted, sol.y[lv],
+                           tol=0 if sol.exact else FLOAT_TOL)
     z: dict[int, object] = {}
     for v in tree.topo_order():
         if v == tree.root:

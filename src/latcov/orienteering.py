@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import CapExceeded, size_cap
 from .instances.metrics import Metric
@@ -124,8 +123,7 @@ def _path_vertex_bound(q: SopQuery) -> int:
     return min(n, q.budget // min(positive) + 1)
 
 
-def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None
-                         ) -> SopResult:
+def sop_recursive_greedy(q: SopQuery) -> SopResult:
     """Midpoint recursion: guess the path's middle vertex and budget split,
     solve the halves recursively, chain the greedy residual.
 
@@ -146,8 +144,6 @@ def sop_recursive_greedy(q: SopQuery, depth_cap: Optional[int] = None
     declared = (math.ceil(math.log2(n)) + 1 if n > 1 else 1, 1)
     kmax = _path_vertex_bound(q)
     depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
-    if depth_cap is not None:
-        depth = min(depth, depth_cap)
     memo: dict = {}
 
     def closed(s: int, t: int, budget: int, depth: int, mask: int):

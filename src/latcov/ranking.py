@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CapExceeded, size_cap
-from .instances.valuations import ValuationSet, ZERO
+from .instances.valuations import ResidualFunction, ValuationSet, ZERO
 
 RANKING_CAP = 8
 
@@ -39,69 +39,21 @@ class RankingTrace:
     chosen_scores: tuple[Fraction, ...]
 
 
-def residual_score(vs: ValuationSet, s_mask: int, e: int) -> Fraction:
-    """Sum over uncovered f_i of (f_i(S+e) - f_i(S)) / (1 - f_i(S))."""
-    if s_mask & (1 << e):
-        raise ValueError("element already scheduled")
-    total = ZERO
-    for f in vs.functions:
-        fs = f.value(s_mask)
-        if fs < 1:
-            total += (f.value(s_mask | (1 << e)) - fs) / (1 - fs)
-    return total
-
-
-class ResidualFunction:
-    """residual_score lifted to sets: T -> sum_i (f_i(S u T) - f_i(S)) / (1 - f_i(S)).
-
-    Monotone and submodular whenever every f_i is; reaches sum of uncovered
-    count on the full set. Used directly as the query valuation for
-    budgeted path searches.
-    """
-
-    __slots__ = ("vs", "s_mask", "_base", "_gaps", "_memo")
-
-    def __init__(self, vs: ValuationSet, s_mask: int):
-        self.vs = vs
-        self.s_mask = s_mask
-        self._base = [f.value(s_mask) for f in vs.functions]
-        self._gaps = [1 - b for b in self._base]
-        self._memo: dict[int, Fraction] = {}   # keyed by S u T
-
-    @property
-    def n(self) -> int:
-        return self.vs.n
-
-    def value(self, t_mask: int) -> Fraction:
-        u = self.s_mask | t_mask
-        hit = self._memo.get(u)
-        if hit is not None:
-            return hit
-        total = ZERO
-        for f, base, gap in zip(self.vs.functions, self._base, self._gaps):
-            if gap > 0:
-                total += (f.value(u) - base) / gap
-        self._memo[u] = total
-        return total
-
-
 def alg_ag(vs: ValuationSet) -> tuple[Ordering, RankingTrace]:
-    """Greedy ranking; ties go to the smallest element index."""
+    """Greedy ranking: each step schedules the unscheduled element e of
+    largest ResidualFunction(vs, S).value(1 << e); ties go to the smallest
+    element index."""
     n = vs.n
     perm: list[int] = []
     mask = 0
     score_log: list[Fraction] = []
     for _ in range(n):
-        best_e, best_score = -1, None
-        for e in range(n):
-            if mask & (1 << e):
-                continue
-            score = residual_score(vs, mask, e)
-            if best_score is None or score > best_score:
-                best_e, best_score = e, score
-        perm.append(best_e)
-        score_log.append(best_score)
-        mask |= 1 << best_e
+        residual = ResidualFunction(vs, mask)
+        e = max((e for e in range(n) if not mask & (1 << e)),
+                key=lambda e: residual.value(1 << e))
+        perm.append(e)
+        score_log.append(residual.value(1 << e))
+        mask |= 1 << e
     order = _ordering(vs, perm)
     uncovered_log = tuple(uncovered_at(order.cover_times, t)
                           for t in range(1, n + 1))
@@ -184,14 +136,14 @@ def check_log_claim(fn, chain: Sequence[int]) -> Fraction:
     return total
 
 
-def checkpoint_base(alpha: Fraction, base_multiplier: int = 8) -> int:
-    """Integer checkpoint unit ceil(multiplier * alpha).
+def checkpoint_base(alpha: Fraction) -> int:
+    """Integer checkpoint unit ceil(8 alpha).
 
     Rounding once here (rather than per level) keeps consecutive checkpoint
     gaps at exactly half the checkpoint value, which the quarter-decay
     argument needs; doubling an already-integral base loses nothing.
     """
-    return math.ceil(alpha * base_multiplier)
+    return math.ceil(alpha * 8)
 
 
 def uncovered_at(cover_times: Sequence[int], t) -> tuple[int, ...]:
@@ -199,8 +151,7 @@ def uncovered_at(cover_times: Sequence[int], t) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(cover_times) if c >= t)
 
 
-def check_recurrence(trace: RankingTrace, opt: Ordering, alpha: Fraction,
-                     base_multiplier: int = 8,
+def check_recurrence(trace: RankingTrace, opt: Ordering, alpha: Fraction
                      ) -> tuple[bool, list[tuple[int, int, int, int]]]:
     """Quarter-decay recurrence |R_j| <= |R_{j-1}|/4 + |R*_j| for all j >= 0.
 
@@ -210,7 +161,7 @@ def check_recurrence(trace: RankingTrace, opt: Ordering, alpha: Fraction,
     (j, |R_j|, |R_{j-1}|, |R*_j|) rows for reporting. Once both sides hit
     zero they stay zero, so scanning stops at the horizon.
     """
-    base = checkpoint_base(alpha, base_multiplier)
+    base = checkpoint_base(alpha)
     n = len(trace.uncovered)
 
     def r_size(t: int) -> int:

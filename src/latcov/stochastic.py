@@ -185,16 +185,12 @@ def optimal_adaptive(inst: StochasticInstance
         if uncovered == 0 or scheduled == full:
             memo[key] = (ZERO, None)
             return memo[key]
-        best, best_e = None, None
-        for e in range(inst.n):
-            if scheduled & (1 << e):
-                continue
-            cost = Fraction(inst.lengths[e] * uncovered)
-            for b, p in inst.supports[e]:
-                cost += p * solve(scheduled | (1 << e), realized | (1 << b))[0]
-            if best is None or cost < best:
-                best, best_e = cost, e
-        memo[key] = (best, best_e)
+        memo[key] = min(
+            ((inst.lengths[e] * uncovered
+              + sum(p * solve(scheduled | (1 << e), realized | (1 << b))[0]
+                    for b, p in inst.supports[e]), e)
+             for e in range(inst.n) if not scheduled & (1 << e)),
+            key=itemgetter(0))
         return memo[key]
 
     total, _ = solve(0, 0)
@@ -216,14 +212,10 @@ def greedy_policy(inst: StochasticInstance) -> AdaptivePolicy:
     def rule(scheduled: int, realized: int) -> Optional[int]:
         if all(f.value(realized) == 1 for f in functions):
             return None
-        best_e, best = None, None
-        for e in range(inst.n):
-            if scheduled & (1 << e):
-                continue
-            score = sto_residual_score(inst, scheduled, realized, e)
-            if best is None or score > best:
-                best_e, best = e, score
-        return best_e
+        return max((e for e in range(inst.n) if not scheduled & (1 << e)),
+                   key=functools.partial(sto_residual_score, inst,
+                                         scheduled, realized),
+                   default=None)
 
     return rule
 
@@ -284,7 +276,7 @@ def evaluate_policy(inst: StochasticInstance, policy: AdaptivePolicy,
 
 
 def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
-                         samples: int, seed: int, base_multiplier: int = 8):
+                         samples: int, seed: int):
     """Monte-Carlo checkpoint decay of the greedy against a reference policy.
 
     Couples both runs to the same sampled outcomes; the greedy side replays
@@ -299,7 +291,7 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    base = checkpoint_base(inst.valuations.alpha, base_multiplier)
+    base = checkpoint_base(inst.valuations.alpha)
     horizon = inst.total_length
     rng = random.Random(f"wssr-mc:{seed}")
     levels = []

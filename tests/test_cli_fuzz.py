@@ -1,11 +1,13 @@
 """Property tests of the exit-code contract: 0 ok, 2 invariant or bad
-input, 3 infeasible, and never a traceback, whatever the arguments.
+input, 3 infeasible, and never a traceback, whatever the arguments or the
+instance file.
 
 Derandomized, so every run draws the same examples.
 """
 
 import contextlib
 import io
+import os
 
 import pytest
 
@@ -13,6 +15,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from latcov import cli  # noqa: E402
+from latcov.instances import (Instance, dumps, loads,  # noqa: E402
+                              random_instance)
+from latcov.instances.generators import random_valuations  # noqa: E402
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -27,3 +32,54 @@ def test_wssr_generated_instances_keep_exit_contract(n, seed, samples,
         code = cli.main(argv)
     assert code in (0, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+def _instance_texts():
+    with open(os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                           "star.lcov")) as fh:
+        texts = [fh.read()]
+    for kind in ("random-groups", "uniform-metric", "random-tree",
+                 "random-stochastic"):
+        texts.append(dumps(random_instance(kind, 4, 1)))
+    explicit = random_valuations("explicit", 3, 1)
+    texts.append(dumps(Instance("ranking", valuations=explicit)))
+    return texts
+
+
+TEXTS = _instance_texts()
+# (op, line, token, delta): truncate the text at that line, drop a token,
+# blank a line, or add a small delta to an integer token
+EDITS = st.tuples(st.sampled_from(("truncate", "drop", "blank", "bump")),
+                  st.integers(0, 40), st.integers(0, 40), st.integers(-2, 2))
+
+
+def _mutate(text, edits):
+    lines = text.split("\n")
+    for op, li, ti, delta in edits:
+        li %= len(lines)
+        toks = lines[li].split(" ")
+        ti %= len(toks)
+        if op == "truncate":
+            lines = lines[:li]
+        elif op == "blank":
+            lines[li] = ""
+        elif op == "drop":
+            del toks[ti]
+            lines[li] = " ".join(toks)
+        elif toks[ti].lstrip("-").isdigit():
+            toks[ti] = str(int(toks[ti]) + delta)
+            lines[li] = " ".join(toks)
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(which=st.integers(0, len(TEXTS) - 1),
+       edits=st.lists(EDITS, min_size=1, max_size=3))
+def test_loads_accepts_or_raises_value_error(which, edits):
+    text = _mutate(TEXTS[which], edits)
+    try:
+        loads(text)
+    except ValueError:
+        pass

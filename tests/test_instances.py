@@ -116,6 +116,8 @@ def test_tree_validation():
         GroupedTree([None, 0, 1], [0, 1, 1], 0, [[1]], [1])
     with pytest.raises(ValueError):  # leaf outside any group
         GroupedTree([None, 0, 0], [0, 1, 1], 0, [[1]], [1])
+    with pytest.raises(ValueError):  # group member out of range
+        GroupedTree([None, 0, 0], [0, 1, 1], 0, [[1], [2, 5]], [1, 1])
     t = GroupedTree([None, 0, 0], [0, 2, 3], 0, [[1], [2]], [1, 1])
     assert t.leaves == (1, 2)
     assert t.total_weight == 5
@@ -171,6 +173,21 @@ def test_loads_rejects_decimals_and_junk():
         loads("LATCOV v2 ranking\nEND\n")
     with pytest.raises(ValueError):
         loads(text.replace("LATCOV", "LATCOW"))
+    # headers, GROUPS, function and support lines with fields missing
+    star = "TREE 4 0\n1 0 1\n2 0 2\n3 0 1\nGROUPS 1\n2 : 1 2 3\n"
+    wtc = "VALUATIONS 1 2 wtc 1/1\nwtc 1 ; 1/1 : 0:1/1 1:1/1\n"
+    sto = "STOCHASTIC 1 2\n1 : 0 1/2 1 1/2\n"
+    for body in ("TREE\n", "TREE 4\n", star.replace("GROUPS 1", "GROUPS"),
+                 star.replace("GROUPS 1\n", "\n"),
+                 star.replace("3 0 1", "7 0 1"),
+                 "VALUATIONS 1 2 wtc\n", wtc.replace("wtc 1 ;", "wtc ;"),
+                 wtc.replace("wtc 1 ; 1/1 : 0:1/1 1:1/1", " "),
+                 "METRIC 2\n", wtc + "STOCHASTIC 1\n",
+                 wtc + sto.replace(" 1/2\n", "\n")):
+        with pytest.raises(ValueError):
+            loads(f"LATCOV v1 lcst\n{body}END\n")
+    assert loads(f"LATCOV v1 lcst\n{star}END\n").tree.n == 4
+    assert loads(f"LATCOV v1 wssr\n{wtc}{sto}END\n").stochastic.n == 1
 
 
 def test_generators_deterministic():

@@ -44,7 +44,7 @@ def test_residual_valuation_is_monotone_submodular():
     for seed in range(6):
         inst = mlsc_instance(seed, n=5)
         for s_mask in (1, 3, 9):
-            res = ResidualValuation(inst.valuations.functions, s_mask)
+            res = ResidualValuation(inst.valuations, s_mask)
             assert pairwise_submodular(res, 5)
             assert check_submodular(res, 5)
 

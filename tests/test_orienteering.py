@@ -171,18 +171,6 @@ def test_recursive_greedy_single_target():
             assert starved.value == 0
 
 
-def test_recursive_greedy_depth_zero_is_single_hop():
-    q = random_query(11)
-    res = sop_recursive_greedy(q, depth_cap=0)
-    g, d = q.valuation, q.metric.d
-    best = g.value(1 << q.root)
-    for v in range(q.metric.n):
-        if v != q.root and d(q.root, v) <= q.budget:
-            best = max(best, g.value((1 << q.root) | (1 << v)))
-    assert res.value == best
-    assert len(res.path) <= 2
-
-
 def test_recursive_greedy_ratio_small():
     for seed in range(36):
         rng = random.Random(f"ratio:{seed}")
@@ -216,7 +204,7 @@ def test_all_solvers_meet_contract_on_seeded_queries():
         check_result(q, sop_recursive_greedy(q), exact.value)
 
 
-def gain_recursive_greedy(q, depth_cap=None):
+def gain_recursive_greedy(q):
     """Reference copy of the recursion that compares gains over g(mask).
 
     The library compares g(mask u path) instead; subtracting the same base
@@ -229,8 +217,6 @@ def gain_recursive_greedy(q, depth_cap=None):
     declared = (math.ceil(math.log2(n)) + 1 if n > 1 else 1, 1)
     kmax = orienteering._path_vertex_bound(q)
     depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
-    if depth_cap is not None:
-        depth = min(depth, depth_cap)
     memo = {}
 
     def gain_of(mask, add_mask, base):

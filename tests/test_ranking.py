@@ -7,7 +7,7 @@ from latcov.instances import (CoverFunction, ValuationSet, check_submodular,
 from latcov.instances.generators import random_valuations
 from latcov.mlsc import ResidualValuation
 from latcov.ranking import (ResidualFunction, alg_ag, brute_force_ranking,
-                            check_log_claim, check_recurrence, residual_score)
+                            check_log_claim, check_recurrence)
 from util import pairwise_submodular, perm_optimum
 
 
@@ -18,25 +18,20 @@ def half_cover(n):
 
 def test_residual_score_fresh_element():
     vs = half_cover(4)
-    assert residual_score(vs, 0, 2) == Fraction(1, 2)
+    assert ResidualFunction(vs, 0).value(1 << 2) == Fraction(1, 2)
 
 
 def test_residual_score_completing_scores_one():
     vs = half_cover(4)
-    assert residual_score(vs, 0b0001, 1) == 1
+    assert ResidualFunction(vs, 0b0001).value(1 << 1) == 1
 
 
 def test_residual_score_skips_covered():
     # f1 covered after one element, f2 needs all of {2,3}
     vs = ValuationSet.singlegroup(4, [[0, 1], [2, 3]], [1, 2])
     s = 0b0001  # f1 done
-    assert residual_score(vs, s, 1) == 0
-    assert residual_score(vs, s, 2) == Fraction(1, 2)
-
-
-def test_residual_score_rejects_scheduled():
-    with pytest.raises(ValueError):
-        residual_score(half_cover(3), 0b001, 0)
+    assert ResidualFunction(vs, s).value(1 << 1) == 0
+    assert ResidualFunction(vs, s).value(1 << 2) == Fraction(1, 2)
 
 
 def test_alg_ag_prefers_double_coverage():
@@ -78,13 +73,14 @@ def test_prefix_recompute_argmax():
         order, trace = alg_ag(vs)
         mask = 0
         for t, e in enumerate(order.permutation):
-            best = max(residual_score(vs, mask, x)
+            residual = ResidualFunction(vs, mask)
+            best = max(residual.value(1 << x)
                        for x in range(vs.n) if not mask & (1 << x))
-            assert residual_score(vs, mask, e) == best == trace.chosen_scores[t]
+            assert residual.value(1 << e) == best == trace.chosen_scores[t]
             # ties: no smaller index attains the max
             for x in range(e):
                 if not mask & (1 << x):
-                    assert residual_score(vs, mask, x) < best
+                    assert residual.value(1 << x) < best
             mask |= 1 << e
 
 
@@ -214,7 +210,7 @@ def test_residual_memos_are_per_scheduled_set():
             pairs = []
             for s in (s1, s2):
                 pairs += [(s, ResidualFunction(vs, s)),
-                          (s, ResidualValuation(vs.functions, s))]
+                          (s, ResidualValuation(vs, s))]
             for t in list(range(full + 1)) * 2:
                 for s, res in pairs:
                     want = sum(((f.value(s | t) - f.value(s))

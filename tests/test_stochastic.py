@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from latcov import stochastic
 from latcov.errors import CapExceeded
 from latcov.instances.generators import random_instance
 from latcov.instances.stoch import StochasticInstance
 from latcov.instances.valuations import ValuationSet
-from latcov.ranking import (alg_ag, checkpoint_base, residual_score,
+from latcov.ranking import (ResidualFunction, alg_ag, checkpoint_base,
                             uncovered_at)
 from latcov.stochastic import (RealizedSchedule, alg_ag_sto,
                                check_sto_recurrence, evaluate_policy,
@@ -91,12 +92,14 @@ def stepwise_greedy(inst, outcome):
                             times, sum(times))
 
 
-def rerun_sto_recurrence(inst, policy, samples, seed, base_multiplier=8):
+def rerun_sto_recurrence(inst, policy, samples, seed, base=None):
     """Reference check_sto_recurrence: re-runs stepwise_greedy on every
     sample instead of replaying greedy_policy, and decides each level in
     floats (mean / 4 > 3 se); the float and integer tests agree whenever
-    the two sides are not within round-off of each other."""
-    base = checkpoint_base(inst.valuations.alpha, base_multiplier)
+    the two sides are not within round-off of each other. `base` defaults
+    to the library's checkpoint unit ceil(8 alpha)."""
+    if base is None:
+        base = checkpoint_base(inst.valuations.alpha)
     horizon = inst.total_length
     rng = random.Random(f"wssr-mc:{seed}")
     levels = []
@@ -148,7 +151,7 @@ def test_score_point_mass_matches_deterministic():
             continue
         e = rng.choice(free)
         assert sto_residual_score(inst, mask, mask, e) == \
-            residual_score(vs, mask, e)
+            ResidualFunction(vs, mask).value(1 << e)
 
 
 def test_score_two_outcome_example():
@@ -233,6 +236,15 @@ def test_policy_tree_invariants():
             walk(0, 0)
 
 
+def test_optimal_adaptive_tie_goes_to_smallest_index():
+    # two identical coins: both root choices cost the same
+    coin = ((0, HALF), (1, HALF))
+    inst = StochasticInstance(2, (coin, coin), (1, 1),
+                              ValuationSet.coverage(2, [[0]]))
+    policy, _ = optimal_adaptive(inst)
+    assert policy(0, 0) == 0
+
+
 def test_optimal_at_most_greedy():
     for seed in range(12):
         inst = random_instance("random-stochastic", 3 + seed % 2,
@@ -283,11 +295,14 @@ def test_recurrence_matches_per_sample_greedy_reruns():
             rerun_sto_recurrence(inst, policy, 500, 0)
 
 
-def test_recurrence_verdict_matches_float_rule_across_threshold():
+def test_recurrence_verdict_matches_float_rule_across_threshold(
+        monkeypatch):
     # the greedy takes element 8 (length 8, covers all eight valuations)
     # while the reference runs the cheap elements in index order and covers
-    # about 2.7 valuations by time 4, so level 2 has a positive mean
-    # difference; as the sample count grows its t-statistic crosses 3
+    # about 2.7 valuations by time 4. At the lemma's unit ceil(8 alpha) = 9
+    # the greedy is done before the first checkpoint, so every level holds;
+    # at the unit ceil(alpha) = 2, level 2 has a positive mean difference
+    # and, as the sample count grows, its t-statistic crosses 3
     p = Fraction(9, 10)
     inst = reduce_sgmssc(
         10, [[i, 9] for i in range(8)], [1] * 8,
@@ -299,10 +314,13 @@ def test_recurrence_verdict_matches_float_rule_across_threshold():
         return next((e for e in range(inst.n) if not scheduled >> e & 1),
                     None)
 
+    assert checkpoint_base(inst.valuations.alpha) == 9
+    assert check_sto_recurrence(inst, in_order, 40, 0)[0]
+    monkeypatch.setattr(stochastic, "checkpoint_base", lambda alpha: 2)
     verdicts = set()
     for samples in range(1, 41):
-        got = check_sto_recurrence(inst, in_order, samples, 0, 1)
-        assert got == rerun_sto_recurrence(inst, in_order, samples, 0, 1)
+        got = check_sto_recurrence(inst, in_order, samples, 0)
+        assert got == rerun_sto_recurrence(inst, in_order, samples, 0, 2)
         verdicts.add(got[0])
     assert verdicts == {True, False}
 
