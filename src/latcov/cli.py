@@ -299,8 +299,8 @@ def cmd_lcst(args, cfg: RunConfig):
 def _stochastic_records(st, args, cfg: RunConfig, command: str):
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    policy = greedy_policy(st)
     try:
-        policy = greedy_policy(st)
         ev = evaluate_policy(st, policy, mode="exact")
         objective = ev.total
         detail = {"mode": "exact", "horizon": ev.horizon}
@@ -308,7 +308,8 @@ def _stochastic_records(st, args, cfg: RunConfig, command: str):
         rng = random.Random(f"wssr-cli:{args.seed}")
         total = Fraction(0)
         for _ in range(args.samples):
-            total += alg_ag_sto(st, sample_outcome(st, rng)).objective
+            total += alg_ag_sto(st, sample_outcome(st, rng),
+                                policy).objective
         objective = total / args.samples
         detail = {"mode": "mc", "samples": args.samples}
     detail.update(n=st.n, m=st.valuations.m)

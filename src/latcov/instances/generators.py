@@ -91,6 +91,9 @@ def random_instance(kind: str, n: int, seed: int) -> Instance:
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}")
     _check_size(n)
+    if n < 2 and kind in ("uniform-metric", "euclidean-grid-metric"):
+        # valuations draw from the non-root points 1..n-1
+        raise ValueError(f"{kind} needs n >= 2, got n={n}")
     rng = random.Random(f"{kind}:{n}:{seed}")
 
     if kind == "random-groups":

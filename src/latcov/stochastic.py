@@ -127,14 +127,16 @@ def _cover_times(inst: StochasticInstance,
                  inst.valuations.first_cover(map(itemgetter(1, 2), steps)))
 
 
-def alg_ag_sto(inst: StochasticInstance,
-               outcome: Sequence[int]) -> RealizedSchedule:
+def alg_ag_sto(inst: StochasticInstance, outcome: Sequence[int],
+               greedy: Optional[AdaptivePolicy] = None) -> RealizedSchedule:
     """Adaptive greedy: argmax expected residual score, smallest index on
     ties, observing each draw before the next choice.
 
     outcome is a full realization vector, one support point per element;
     the run is greedy_policy replayed on it, a deterministic function of
-    the instance and the vector.
+    the instance and the vector. greedy, if given, must be
+    greedy_policy(inst); callers replaying many outcomes pass one rule so
+    its cached states are scored once.
     """
     outcome = tuple(outcome)
     if len(outcome) != inst.n:
@@ -142,7 +144,9 @@ def alg_ag_sto(inst: StochasticInstance,
     for e, b in enumerate(outcome):
         if b not in [pt for pt, _ in inst.supports[e]]:
             raise ValueError(f"outcome {b} not in element {e}'s support")
-    steps = list(_replay(inst, greedy_policy(inst), outcome))
+    if greedy is None:
+        greedy = greedy_policy(inst)
+    steps = list(_replay(inst, greedy, outcome))
     times = _cover_times(inst, steps)
     columns = [tuple(col) for col in zip(*steps)] or [(), (), ()]
     return RealizedSchedule(*columns, times, sum(times))

@@ -216,10 +216,16 @@ def test_tiny_epsilon_in_file_does_not_overflow(tmp_path, capsys):
 def test_nonpositive_generator_size_is_bad_input(capsys):
     for argv in (["gen", "tree:n=-3"], ["gen", "stochastic:n=0"],
                  ["wssr", "--gen", "stochastic:n=0"],
-                 ["gen", "tree:n=1"], ["gen", "tree:n=2"]):
+                 ["gen", "tree:n=1"], ["gen", "tree:n=2"],
+                 ["gen", "grid:n=1"], ["gen", "uniform:n=1"],
+                 ["sop", "--gen", "grid:n=1"], ["mlsc", "--gen", "uniform:n=1"],
+                 ["lcst", "--gen", "grid:n=1"]):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err
         assert "n=" in err and "Traceback" not in err, argv
+    for argv in (["gen", "grid:n=2"], ["gen", "uniform:n=2"]):
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_nonpositive_samples_is_bad_input(capsys):

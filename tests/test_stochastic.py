@@ -1,13 +1,15 @@
 """Stochastic adaptive ranking: greedy scores, the exact policy oracle,
 policy evaluation, reductions, and the Monte-Carlo checkpoint lemma."""
 
+import csv
+import io
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from latcov import stochastic
+from latcov import cli, stochastic
 from latcov.errors import CapExceeded
 from latcov.instances.generators import random_instance
 from latcov.instances.stoch import StochasticInstance
@@ -190,10 +192,11 @@ def test_replay_invariance():
 
 def test_outcome_vector_validation():
     inst = coin_instance()
-    with pytest.raises(ValueError):
-        alg_ag_sto(inst, (0,))        # too short
-    with pytest.raises(ValueError):
-        alg_ag_sto(inst, (0, 0))      # element 1 never realizes point 0
+    for greedy in (None, greedy_policy(inst)):
+        with pytest.raises(ValueError):
+            alg_ag_sto(inst, (0,), greedy)     # too short
+        with pytest.raises(ValueError):
+            alg_ag_sto(inst, (0, 0), greedy)   # element 1 never realizes 0
     # replay checks each point the policy reaches: element 0 draws junk,
     # then element 1 is scheduled and its point 0 is off its support
     for policy in (greedy_policy(inst), optimal_adaptive(inst)[0]):
@@ -286,6 +289,44 @@ def test_greedy_policy_replays_runs():
             ref = stepwise_greedy(inst, w)
             assert alg_ag_sto(inst, w) == ref
             assert policy_cover_times(inst, gp, w) == ref.cover_times
+
+
+def _cli_objective(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert "mode=mc" in row["detail"]
+    return Fraction(row["objective"])
+
+
+def test_monte_carlo_wssr_scores_each_state_once(capsys, monkeypatch):
+    scored = []
+
+    def counting(inst, scheduled, realized, e):
+        scored.append((scheduled, realized, e))
+        return sto_residual_score(inst, scheduled, realized, e)
+
+    monkeypatch.setattr(stochastic, "sto_residual_score", counting)
+    _cli_objective(capsys, "wssr", "--gen", "stochastic:n=7:seed=1",
+                   "--samples", "250")
+    assert scored and len(scored) == len(set(scored))
+
+
+def test_shared_greedy_rule_matches_fresh_rule_per_sample(capsys):
+    # past the exact cap, so the CLI samples with the wssr-cli stream
+    for n in range(5, 10):
+        for seed in range(4):
+            st = random_instance("random-stochastic", n, seed).stochastic
+            greedy = greedy_policy(st)
+            rng = random.Random(f"wssr-cli:{seed}")
+            total = 0
+            for _ in range(60):
+                w = sample_outcome(st, rng)
+                fresh = alg_ag_sto(st, w)
+                assert alg_ag_sto(st, w, greedy) == fresh
+                total += fresh.objective
+            assert _cli_objective(
+                capsys, "wssr", "--gen", f"stochastic:n={n}:seed={seed}",
+                "--samples", "60", "--seed", str(seed)) == Fraction(total, 60)
 
 
 def test_recurrence_matches_per_sample_greedy_reruns():
