@@ -317,8 +317,8 @@ def _stochastic_records(st, args, cfg: RunConfig, command: str):
     code = 0
     if args.oracle:
         opt_policy, opt_cost = optimal_adaptive(st)
-        ok, rows = check_sto_recurrence(st, opt_policy,
-                                        samples=args.samples, seed=args.seed)
+        ok, rows = check_sto_recurrence(st, opt_policy, samples=args.samples,
+                                        seed=args.seed, greedy=policy)
         r, rn, rd = _ratio_fields(objective, opt_cost)
         fields.update(oracle=_rat(opt_cost), ratio=r, ratio_num=rn,
                       ratio_den=rd, checkpoints=_fmt_rows(rows),
@@ -453,10 +453,11 @@ def _suite_lcst(seed: int, args) -> tuple[dict, bool]:
 def _suite_wssr(seed: int, args) -> tuple[dict, bool]:
     st = random_instance("random-stochastic", 3 + seed % 2, seed).stochastic
     opt_policy, opt_cost = optimal_adaptive(st)
-    alg_cost = evaluate_policy(st, greedy_policy(st), mode="exact").total
+    greedy = greedy_policy(st)
+    alg_cost = evaluate_policy(st, greedy, mode="exact").total
     ratio_ok = alg_cost <= 56 * st.valuations.alpha * opt_cost
-    rec_ok, rows = check_sto_recurrence(st, opt_policy,
-                                        samples=args.samples, seed=seed)
+    rec_ok, rows = check_sto_recurrence(st, opt_policy, samples=args.samples,
+                                        seed=seed, greedy=greedy)
     # slack left per level: prev/4 + R*_j + 3 se - R_j, negative = violation;
     # fully settled all-zero levels carry no information
     margin = min((float(p) / 4 + float(rs) + 3 * se - float(r)

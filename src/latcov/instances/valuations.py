@@ -16,6 +16,8 @@ the budgeted path searches and the MLSC phases score with it; the
 stochastic greedy takes its expectation over one element's draw.
 
 Values are exact rationals throughout; there is no float path here.
+Inside ``CoverFunction.value`` and ``min_nonzero_marginal`` they are ints
+over one common denominator; every value that leaves either is a Fraction.
 A ``CoverFunction`` and a ``ResidualFunction`` memoize their values per
 mask; the terms are frozen, so a cached value is the exact Fraction the
 computation would return again.
@@ -63,40 +65,45 @@ class CoverTerm:
 class CoverFunction:
     """Weighted truncated coverage; monotone submodular by construction."""
 
-    __slots__ = ("n", "terms", "_items", "_full", "_memo")
+    __slots__ = ("n", "terms", "_items", "_den", "_memo")
 
     def __init__(self, n: int, terms: Sequence[CoverTerm]):
         self.n = n
         self.terms = tuple(terms)
-        # (mask, [(bit, unit)...], saturates_when_full) per term
+        if any(t.members and t.members[-1] >= n for t in self.terms):
+            raise ValueError("term member out of range")
+        # int credits over cap_t = lcm(unit denominators), scaled over _den;
+        # _items: (mask, [(bit, credit)...], cap_t, scale_t, all-hit value)
+        live = [t for t in self.terms if t.weight]
+        caps = [math.lcm(*(u.denominator for u in t.units)) for t in live]
+        den = self._den = math.lcm(*(t.weight.denominator * c
+                                     for t, c in zip(live, caps)))
         self._items = []
-        for t in self.terms:
-            if t.members and t.members[-1] >= n:
-                raise ValueError("term member out of range")
-            pairs = [(1 << e, u) for e, u in zip(t.members, t.units)]
-            self._items.append((t.mask, pairs, sum(t.units) >= 1))
-        self._full = (1 << n) - 1
+        for t, cap in zip(live, caps):
+            scale = t.weight.numerator * den // (t.weight.denominator * cap)
+            pairs = [(1 << e, u.numerator * cap // u.denominator)
+                     for e, u in zip(t.members, t.units)]
+            whole = min(cap, sum(c for _, c in pairs))
+            self._items.append((t.mask, pairs, cap, scale, scale * whole))
         self._memo: dict[int, Fraction] = {}
 
     def value(self, mask: int) -> Fraction:
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
-        total = ZERO
-        for term, (tmask, pairs, sat) in zip(self.terms, self._items):
-            if term.weight == 0:
-                continue
+        total = 0
+        for tmask, pairs, cap, scale, whole in self._items:
             hit = mask & tmask
-            if hit == tmask and sat:
-                total += term.weight
-                continue
-            credit = ZERO
-            for bit, unit in pairs:
-                if hit & bit:
-                    credit += unit
-            total += term.weight * (credit if credit < 1 else ONE)
-        self._memo[mask] = total
-        return total
+            if hit == tmask:
+                total += whole
+            elif hit:
+                credit = 0
+                for bit, c in pairs:
+                    if hit & bit:
+                        credit += c
+                total += scale * (credit if credit < cap else cap)
+        value = self._memo[mask] = Fraction(total, self._den)
+        return value
 
 
 class ExplicitFunction:
@@ -323,18 +330,21 @@ def alpha_from_epsilon(epsilon: Fraction) -> Fraction:
 
 
 def min_nonzero_marginal(fn, n: int) -> Fraction:
-    """Exhaustive smallest nonzero single-element marginal of one function."""
+    """Exhaustive smallest nonzero single-element marginal of one function,
+    scanned as ints over the common denominator of its 2^n values."""
     if n > size_cap(SUBMODULAR_CAP):
         raise CapExceeded("marginal enumeration capped at n=12")
-    best: Fraction | None = None
-    for mask in range(1 << n):
-        base = fn.value(mask)
+    vals = [fn.value(mask) for mask in range(1 << n)]
+    den = math.lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    best: int | None = None
+    for mask, base in enumerate(ints):
         for e in range(n):
             if mask & (1 << e):
                 continue
-            gain = fn.value(mask | (1 << e)) - base
+            gain = ints[mask | (1 << e)] - base
             if gain > 0 and (best is None or gain < best):
                 best = gain
     if best is None:
         raise ValueError("function is constant")
-    return best
+    return Fraction(best, den)

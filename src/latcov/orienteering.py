@@ -135,6 +135,13 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     g(mask u path) rather than by the gain over g(mask): within one call the
     subtracted base is the same for all of them, so the exact comparison,
     and with it the argmax and its tie order, does not change.
+
+    For a fixed midpoint v the split b1 walks upward, skipping a split whose
+    left path equals the last one tried. Both halves are nondecreasing in
+    their budget (by induction on depth, a larger budget has a superset of
+    candidates, none worth less), so the smaller right budget cannot beat a
+    total already compared; only a strictly larger total replaces the best,
+    so the argmax and its tie order do not change.
     """
     n = q.metric.n
     if n > size_cap(RG_CAP):
@@ -162,10 +169,12 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
                 lo, back = d[s][v], d[v][t]
                 if lo + back > budget:
                     continue
+                prev = None
                 for b1 in range(lo, budget - back + 1):
                     left = closed(s, v, b1, depth - 1, mask)
-                    if left is None:
+                    if left is None or left[1] == prev:
                         continue
+                    prev = left[1]
                     lmask = _mask(left[1])
                     right = closed(v, t, budget - b1, depth - 1, mask | lmask)
                     if right is None:
@@ -193,10 +202,12 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
                 lo = d[s][v]
                 if lo > budget:
                     continue
+                prev = None
                 for b1 in range(lo, budget + 1):
                     left = closed(s, v, b1, depth - 1, mask)
-                    if left is None:
+                    if left is None or left[1] == prev:
                         continue
+                    prev = left[1]
                     lmask = _mask(left[1])
                     right = open_path(v, budget - b1, depth - 1, mask | lmask)
                     total = g.value(mask | lmask | _mask(right[1]))

@@ -280,7 +280,8 @@ def evaluate_policy(inst: StochasticInstance, policy: AdaptivePolicy,
 
 
 def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
-                         samples: int, seed: int):
+                         samples: int, seed: int,
+                         greedy: Optional[AdaptivePolicy] = None):
     """Monte-Carlo checkpoint decay of the greedy against a reference policy.
 
     Couples both runs to the same sampled outcomes; the greedy side replays
@@ -292,6 +293,7 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     per-outcome difference; the test runs on the integer sums, so no float
     rounding decides it. Returns (ok, rows) with rows of
     (j, mean R_j, mean R_{j-1}, mean R*_j, stderr of the difference).
+    greedy, if given, must be greedy_policy(inst), as for alg_ag_sto.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -305,7 +307,8 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
         if base * (1 << j) > horizon and (1 << j) > horizon:
             break
         j += 1
-    greedy = greedy_policy(inst)
+    if greedy is None:
+        greedy = greedy_policy(inst)
     sums = [[0, 0, 0] for _ in levels]          # R_j, R_{j-1}, R*_j
     dsum = [0] * len(levels)                    # 4 R_j - R_{j-1} - 4 R*_j
     dsq = [0] * len(levels)

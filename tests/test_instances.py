@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -237,3 +238,65 @@ def test_cover_function_memo_is_transparent():
             want = cover_closed_form(terms, mask)
             assert f.value(mask) == want, (seed, mask)
             assert CoverFunction(n, terms).value(mask) == want, (seed, mask)
+
+
+def test_cover_function_ints_over_coprime_denominators():
+    # weights and units with pairwise coprime denominators, a term whose
+    # credits never reach 1, and zero-weight terms (one of them alone)
+    terms = [
+        CoverTerm(Fraction(1, 7), (0, 1, 2), (Fraction(2, 5),) * 3),
+        CoverTerm(Fraction(2, 11), (1, 3), (Fraction(1, 13), Fraction(1, 3))),
+        CoverTerm(Fraction(0), (0, 4), (Fraction(1, 2), Fraction(1, 2))),
+        CoverTerm(Fraction(1, 3), (2, 4), (Fraction(2, 5), Fraction(1, 13))),
+        CoverTerm(Fraction(2, 5), (0, 3, 4),
+                  (Fraction(1, 7), Fraction(2, 11), Fraction(1, 1))),
+    ]
+    for chosen in (terms, terms[2:3], terms[1:2]):
+        f = CoverFunction(5, chosen)
+        for mask in range(1 << 5):
+            got = f.value(mask)
+            assert type(got) is Fraction
+            assert got == cover_closed_form(chosen, mask), mask
+            assert math.gcd(got.numerator, got.denominator) == 1
+    # credits of term 2 top out at 1/13 + 1/3: never saturated
+    f = CoverFunction(5, terms[1:2])
+    assert f.value(0b11111) == Fraction(2, 11) * Fraction(16, 39)
+    # the shared denominator cancels: 1/7 * 6/5 caps at 1/7
+    assert CoverFunction(5, terms[:1]).value(0b111) == Fraction(1, 7)
+
+
+def fraction_min_nonzero_marginal(fn, n):
+    gains = [fn.value(mask | 1 << e) - fn.value(mask)
+             for mask in range(1 << n) for e in range(n) if not mask >> e & 1]
+    return min(g for g in gains if g > 0)
+
+
+def random_cover_function(rng, n):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        members = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        units = tuple(Fraction(rng.randint(1, 3), rng.choice((2, 3, 5, 7, 11)))
+                      for _ in members)
+        terms.append(CoverTerm(Fraction(rng.randint(0, 2),
+                                        rng.choice((1, 3, 7, 13))),
+                               members, units))
+    return CoverFunction(n, terms)
+
+
+def test_min_nonzero_marginal_matches_fraction_reference():
+    for seed in range(40):
+        rng = random.Random(f"marginal:{seed}")
+        n = rng.randint(1, 6)
+        table = ExplicitFunction(n, [Fraction(rng.randint(0, 9),
+                                              rng.choice((1, 2, 3, 7, 11)))
+                                     for _ in range(1 << n)])
+        cover = random_cover_function(rng, n)
+        for fn in (table, cover):
+            try:
+                want = fraction_min_nonzero_marginal(fn, n)
+            except ValueError:      # min() of no positive gain
+                with pytest.raises(ValueError, match="constant"):
+                    min_nonzero_marginal(fn, n)
+                continue
+            got = min_nonzero_marginal(fn, n)
+            assert type(got) is Fraction and got == want, seed

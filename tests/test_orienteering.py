@@ -11,6 +11,7 @@ from latcov.errors import CapExceeded
 from latcov.instances import random_instance
 from latcov.instances.metrics import GridPoints, uniform_metric
 from latcov.instances.valuations import CoverFunction, uniform_term
+from latcov.mlsc import alg_mlsc
 from latcov.orienteering import SopQuery, sop_exact, sop_recursive_greedy
 from latcov.ranking import ResidualFunction
 
@@ -209,6 +210,8 @@ def gain_recursive_greedy(q):
 
     The library compares g(mask u path) instead; subtracting the same base
     from every candidate of one call cannot change an exact comparison.
+    This copy also keeps the full b1 scan: it never skips a split whose left
+    path repeats the last one, so it checks the library's pruning too.
     """
     _mask = orienteering._mask
     n = q.metric.n
@@ -305,3 +308,13 @@ def test_value_compare_matches_gain_compare_on_residual_queries():
                                     ResidualFunction(vs, s_mask), budget)
                 assert (sop_recursive_greedy(query())
                         == gain_recursive_greedy(query())), (n, seed, s_mask)
+
+
+def test_pruned_splits_match_full_scan_on_mlsc_queries():
+    # every residual query an MLSC run asks, phase by phase
+    for n in (8, 9, 10):
+        for seed in range(4):
+            inst = random_instance("euclidean-grid-metric", n, seed)
+            runs = [alg_mlsc(inst.metric, inst.valuations, solver, 1, 1)
+                    for solver in (sop_recursive_greedy, gain_recursive_greedy)]
+            assert runs[0] == runs[1], (n, seed)

@@ -311,6 +311,22 @@ def test_monte_carlo_wssr_scores_each_state_once(capsys, monkeypatch):
     assert scored and len(scored) == len(set(scored))
 
 
+def test_oracle_wssr_scores_each_state_once(capsys, monkeypatch):
+    # the exact evaluation and the recurrence check replay one greedy rule
+    scored = []
+
+    def counting(inst, scheduled, realized, e):
+        scored.append((scheduled, realized, e))
+        return sto_residual_score(inst, scheduled, realized, e)
+
+    monkeypatch.setattr(stochastic, "sto_residual_score", counting)
+    assert cli.main(["wssr", "--gen", "stochastic:n=4:seed=1", "--oracle",
+                     "--samples", "250"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert "mode=exact" in row["detail"] and row["ok"] == "pass"
+    assert scored and len(scored) == len(set(scored))
+
+
 def test_shared_greedy_rule_matches_fresh_rule_per_sample(capsys):
     # past the exact cap, so the CLI samples with the wssr-cli stream
     for n in range(5, 10):
