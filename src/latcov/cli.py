@@ -283,8 +283,7 @@ def cmd_lcst(args, cfg: RunConfig):
         raise ValueError("lcst: --no-embed needs a tree instance")
     else:
         tree = _tree_from_metric(inst, embed_seed)
-    tol = Fraction(args.tol) if args.tol is not None else None
-    sol = solve_lp_lcst(tree, tol=tol)
+    sol = solve_lp_lcst(tree)
     tour, report = alg_lcst(tree, round_seed, args.repeat_mult,
                             args.weight_mult, lp=sol)
     detail = {"fallback": int(report.fallback), "kc_rows": sol.kc_rows,
@@ -478,6 +477,8 @@ SUITE_FNS = {"ranking-lemmas": _suite_ranking, "mlsc-lemmas": _suite_mlsc,
 
 
 def cmd_suite(args, cfg: RunConfig):
+    if args.seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {args.seeds}")
     names = SUITE_NAMES if args.name == "lemmas" else (args.name,)
     digest = cfg.digest()
     records, code = [], 0
@@ -570,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p, tree_alias=True)
     p.add_argument("--embed-seed", type=int, help="tree embedding seed")
     p.add_argument("--round-seed", type=int, help="rounding seed")
-    p.add_argument("--tol", help="LP tolerance as a rational, e.g. 1/1000000")
     p.add_argument("--no-embed", action="store_true",
                    help="refuse metric instances instead of embedding")
     p.add_argument("--repeat-mult", type=int, default=6)

@@ -20,6 +20,7 @@ from .valuations import SUBMODULAR_CAP, ValuationSet
 
 KINDS = ("uniform-metric", "euclidean-grid-metric", "random-tree",
          "random-groups", "random-stochastic")
+GEN_CAP = 256   # the metrics' O(n^3) triangle check takes ~1 s at n = 256
 
 
 @dataclass
@@ -36,6 +37,9 @@ class Instance:
 def _check_size(n: int):
     if n < 1:
         raise ValueError(f"generator size must be n >= 1, got n={n}")
+    if n > size_cap(GEN_CAP):
+        raise CapExceeded(f"generators capped at n={size_cap(GEN_CAP)}, "
+                          f"got n={n}")
 
 
 def _random_groups(rng: random.Random, pool: list[int], count: int,

@@ -19,7 +19,7 @@ from .separation import separate_kc
 from .simplex import solve_canonical_max
 
 # above this many variables the tableau switches from exact rationals to
-# floats; pivot and separation tolerances below are the float-mode defaults
+# floats; the pivot and separation tolerances below apply in float mode only
 EXACT_VAR_LIMIT = 200
 FLOAT_TOL = 1e-7
 PIVOT_TOL = 1e-9
@@ -59,7 +59,7 @@ def level_count(tree) -> int:
     return (total - 1).bit_length() + 1
 
 
-def solve_lp_lcst(tree, tol=None, max_iters: int = ITER_CAP,
+def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
                   exact_limit: int = EXACT_VAR_LIMIT) -> LpSolution:
     """Cutting-plane solve; raises SolverStall past `max_iters` rounds."""
     edges = tree.edges
@@ -69,8 +69,7 @@ def solve_lp_lcst(tree, tol=None, max_iters: int = ITER_CAP,
     nvars = nlev * (E + G)
     exact = nvars <= exact_limit
     num = Fraction if exact else float
-    if tol is None:
-        tol = Fraction(0) if exact else FLOAT_TOL
+    tol = Fraction(0) if exact else FLOAT_TOL
     pivot_tol = Fraction(0) if exact else PIVOT_TOL
     zero = num(0)
 

@@ -19,6 +19,7 @@ from .errors import CapExceeded, Uncoverable, size_cap
 from .instances.metrics import Metric
 from .instances.valuations import ResidualFunction, ValuationSet
 from .orienteering import SopQuery, SopResult
+from .ranking import check_decay
 
 LATENCY_CAP = 7
 
@@ -187,23 +188,17 @@ def check_mlsc_recurrence(log: PhaseLog, opt: LatencyTour,
 
     R_j comes from the log's checkpoint counts (uncovered strictly after
     4 * ceil(4 alpha rho) * sigma * 2^j); R*_j counts valuations the optimal
-    tour covers strictly after distance 2^j. Both hit zero and stay zero, so
-    the scan stops once they do. Returns the verdict plus
-    (j, |R_j|, |R_{j-1}|, |R*_j|) rows.
+    tour covers strictly after distance 2^j. check_decay runs one run on unit
+    base, reading level j's logged count at time 2^j, so its verdict is
+    exactly 4 |R_j| <= |R_{j-1}| + 4 |R*_j|, and horizon 0 stops the scan at
+    the first level where both counts are zero. Returns (ok, rows of
+    (j, |R_j|, |R_{j-1}|, |R*_j|)).
     """
-    counts = {j: c for j, _, c in log.checkpoints}
-    rows: list[tuple[int, int, int, int]] = []
-    ok = True
-    prev = 0  # |R_{-1}|
-    j = 0
-    while True:
-        r_j = counts.get(j, 0)
-        rstar_j = len(uncovered_after(opt.cover_times, 1 << j))
-        rows.append((j, r_j, prev, rstar_j))
-        if 4 * r_j > prev + 4 * rstar_j:
-            ok = False
-        if r_j == 0 and rstar_j == 0:
-            break
-        prev = r_j
-        j += 1
-    return ok, rows
+    by_level = {1 << j: c for j, _, c in log.checkpoints}
+
+    def counts(level: int, t_star: int) -> list[tuple[int, int]]:
+        return [(by_level.get(level, 0),
+                 len(uncovered_after(opt.cover_times, t_star)))]
+
+    ok, rows = check_decay(counts, 1)
+    return ok, [row[:4] for row in rows]

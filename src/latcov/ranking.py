@@ -12,10 +12,11 @@ prefix-set statistics, so position within a prefix never matters).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, size_cap
 from .instances.valuations import ResidualFunction, ValuationSet, ZERO
@@ -151,35 +152,56 @@ def uncovered_at(cover_times: Sequence[int], t) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(cover_times) if c >= t)
 
 
+def check_decay(counts: Callable[[int, int], Sequence[tuple[int, int]]],
+                base: int, horizon: int = 0) -> tuple[bool, list[tuple]]:
+    """Quarter-decay check E|R_j| <= E|R_{j-1}|/4 + E|R*_j| for all j >= 0.
+
+    The one level loop of every recurrence check. counts(base << j, 1 << j)
+    gives one (R, R*) pair per run: the algorithm's uncovered count at time
+    base * 2^j and the reference's at time 2^j. With R_{-1} = 0, ds and dq
+    sum d = 4 R_j - R_{j-1} - 4 R*_j and d^2 as ints over the k runs; level
+    j fails iff mean d > 3 se, squared and scaled by k^2 max(1, k-1): ds > 0
+    and ds^2 max(1, k-1) > 9 (k dq - ds^2). For k = 1, dq = ds^2, so this is
+    exactly 4 R_j > R_{j-1} + 4 R*_j. The scan stops after the first level
+    past `horizon` on both clocks with every count zero. Returns the verdict
+    and rows (j, sum R_j, sum R_{j-1}, sum R*_j, ds, dq).
+    """
+    if base < 1:
+        raise ValueError(f"checkpoint base must be >= 1, got {base}")
+    ok, rows, sp = True, [], 0
+    prev: Iterable[int] = itertools.repeat(0)    # R_{-1} = 0 in every run
+    for j in itertools.count():
+        pairs = counts(base << j, 1 << j)
+        sr = ss = ds = dq = 0
+        for (r, s), p in zip(pairs, prev):
+            d = 4 * r - p - 4 * s
+            sr, ss, ds, dq = sr + r, ss + s, ds + d, dq + d * d
+        prev = [r for r, _ in pairs]
+        rows.append((j, sr, sp, ss, ds, dq))
+        k = len(pairs)
+        if ds > 0 and ds * ds * max(1, k - 1) > 9 * (dq * k - ds * ds):
+            ok = False
+        if base << j > horizon and 1 << j > horizon and sr == ss == 0:
+            return ok, rows
+        sp = sr
+
+
 def check_recurrence(trace: RankingTrace, opt: Ordering, alpha: Fraction
                      ) -> tuple[bool, list[tuple[int, int, int, int]]]:
     """Quarter-decay recurrence |R_j| <= |R_{j-1}|/4 + |R*_j| for all j >= 0.
 
     R_j counts valuations the greedy covers at index >= ceil(8 alpha) * 2^j
-    (read off the trace's uncovered sets); R*_j counts valuations the optimum
-    covers at index >= 2^j. Returns the verdict plus
-    (j, |R_j|, |R_{j-1}|, |R*_j|) rows for reporting. Once both sides hit
-    zero they stay zero, so scanning stops at the horizon.
+    (read off the trace's uncovered sets), R*_j those the optimum covers at
+    index >= 2^j. One run, so check_decay's verdict is exactly that; no
+    cover index exceeds the horizon max(n, max opt cover time), so the scan
+    stops at the first level past it. Rows are (j, |R_j|, |R_{j-1}|, |R*_j|).
     """
-    base = checkpoint_base(alpha)
     n = len(trace.uncovered)
 
-    def r_size(t: int) -> int:
-        return len(trace.uncovered[t - 1]) if t <= n else 0
+    def counts(t: int, t_star: int) -> list[tuple[int, int]]:
+        return [(len(trace.uncovered[t - 1]) if t <= n else 0,
+                 len(uncovered_at(opt.cover_times, t_star)))]
 
-    horizon = max(n, max(opt.cover_times))
-    rows: list[tuple[int, int, int, int]] = []
-    ok = True
-    j = 0
-    prev = 0  # |R_{-1}|
-    while True:
-        r_j = r_size(base * (1 << j))
-        rstar_j = len(uncovered_at(opt.cover_times, 1 << j))
-        rows.append((j, r_j, prev, rstar_j))
-        if 4 * r_j > prev + 4 * rstar_j:
-            ok = False
-        if base * (1 << j) > horizon and (1 << j) > horizon:
-            break
-        prev = r_j
-        j += 1
-    return ok, rows
+    ok, rows = check_decay(counts, checkpoint_base(alpha),
+                           max(n, max(opt.cover_times)))
+    return ok, [row[:4] for row in rows]

@@ -33,7 +33,7 @@ from .errors import CapExceeded, size_cap
 from .instances.stoch import StochasticInstance, Support
 from .instances.valuations import (ONE, ZERO, CoverFunction, CoverTerm,
                                    ValuationSet)
-from .ranking import checkpoint_base, uncovered_at
+from .ranking import check_decay, checkpoint_base, uncovered_at
 
 ADAPTIVE_ELEMENT_CAP = 4
 ADAPTIVE_SUPPORT_CAP = 3
@@ -288,58 +288,37 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     greedy_policy, which gives alg_ag_sto's cover times on every outcome
     vector. R_j counts valuations the greedy covers at clock time
     >= ceil(8 alpha) * 2^j, R*_j those the policy covers at time >= 2^j.
-    Passes when, for every j, the empirical means satisfy
-    E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three standard errors of the
-    per-outcome difference; the test runs on the integer sums, so no float
-    rounding decides it. Returns (ok, rows) with rows of
-    (j, mean R_j, mean R_{j-1}, mean R*_j, stderr of the difference).
+    Each sample is one run of check_decay: a level passes when the empirical
+    means satisfy E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three standard
+    errors of the per-outcome difference, decided on integer sums. No clock
+    time, the never-covered charge included, exceeds the horizon
+    total_length, so the scan stops at the first level past it. Returns
+    (ok, rows) with rows of (j, mean R_j, mean R_{j-1}, mean R*_j, stderr
+    of the difference), floats computed from check_decay's sums.
     greedy, if given, must be greedy_policy(inst), as for alg_ag_sto.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    base = checkpoint_base(inst.valuations.alpha)
-    horizon = inst.total_length
     rng = random.Random(f"wssr-mc:{seed}")
-    levels = []
-    j = 0
-    while True:
-        levels.append(j)
-        if base * (1 << j) > horizon and (1 << j) > horizon:
-            break
-        j += 1
     if greedy is None:
         greedy = greedy_policy(inst)
-    sums = [[0, 0, 0] for _ in levels]          # R_j, R_{j-1}, R*_j
-    dsum = [0] * len(levels)                    # 4 R_j - R_{j-1} - 4 R*_j
-    dsq = [0] * len(levels)
-    for _ in range(samples):
-        w = sample_outcome(inst, rng)
-        ct = policy_cover_times(inst, greedy, w)
-        ct_star = policy_cover_times(inst, policy, w)
-        prev = 0
-        for idx, j in enumerate(levels):
-            r_j = len(uncovered_at(ct, base * (1 << j)))
-            r_star = len(uncovered_at(ct_star, 1 << j))
-            d = 4 * r_j - prev - 4 * r_star
-            sums[idx][0] += r_j
-            sums[idx][1] += prev
-            sums[idx][2] += r_star
-            dsum[idx] += d
-            dsq[idx] += d * d
-            prev = r_j
-    ok = True
+    outcomes = (sample_outcome(inst, rng) for _ in range(samples))
+    runs = [(policy_cover_times(inst, greedy, w),
+             policy_cover_times(inst, policy, w)) for w in outcomes]
+
+    def counts(t: int, t_star: int) -> list[tuple[int, int]]:
+        return [(len(uncovered_at(ct, t)), len(uncovered_at(ct_star, t_star)))
+                for ct, ct_star in runs]
+
+    ok, sums = check_decay(counts, checkpoint_base(inst.valuations.alpha),
+                           inst.total_length)
     rows = []
     dof = max(1, samples - 1)
-    for idx in range(len(levels)):
-        ds = dsum[idx]
-        # mean d > 3 se of d, squared and scaled by samples^2 * dof
-        if ds > 0 and ds * ds * dof > 9 * (dsq[idx] * samples - ds * ds):
-            ok = False
+    for j, r_j, prev, r_star, ds, dq in sums:
         mean_d = ds / samples
-        var = (dsq[idx] / samples - mean_d ** 2) * samples / dof
+        var = (dq / samples - mean_d ** 2) * samples / dof
         se = math.sqrt(max(0.0, var) / samples) / 4  # d was scaled by 4
-        rows.append((levels[idx], sums[idx][0] / samples,
-                     sums[idx][1] / samples, sums[idx][2] / samples, se))
+        rows.append((j, r_j / samples, prev / samples, r_star / samples, se))
     return ok, rows
 
 

@@ -240,9 +240,25 @@ def test_nonpositive_samples_is_bad_input(capsys):
         assert "samples" in err and "Traceback" not in err, argv
 
 
+def test_nonpositive_suite_seeds_is_bad_input(capsys):
+    for seeds in ("0", "-3"):
+        assert cli.main(["suite", "lemmas", "--seeds", seeds]) == 2, seeds
+        captured = capsys.readouterr()
+        assert captured.out == "", seeds
+        assert "seeds" in captured.err, seeds
+        assert "Traceback" not in captured.err, seeds
+
+
 def test_explicit_table_refused_before_tabulating(capsys):
-    # 2^20 and 2^30 table entries: refused up front, not after building
-    for argv in (["gen", "grid:n=20:seed=1"], ["gen", "explicit:n=30"]):
+    # 2^20 and 2^30 table entries: refused up front, not after building;
+    # so are generator sizes past GEN_CAP, which overflowed, hung, or (for
+    # uniform:n=1000) spent a minute in the metric's triangle check
+    huge = 10 ** 20
+    for argv in (["gen", "grid:n=20:seed=1"], ["gen", "explicit:n=30"],
+                 ["gen", f"coverage:n={huge}"],
+                 ["rank", "--gen", f"gmssc:n={huge}"],
+                 ["gen", f"tree:n={huge}"], ["gen", f"stochastic:n={huge}"],
+                 ["gen", f"uniform:n={huge}"], ["gen", "uniform:n=1000"]):
         start = time.perf_counter()
         assert cli.main(argv) == 2, argv
         assert time.perf_counter() - start < 5, argv

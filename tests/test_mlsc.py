@@ -187,6 +187,27 @@ def test_recurrence_phase_zero_coverage_is_trivial():
     assert ok
 
 
+def rerun_mlsc_recurrence(log, opt):
+    """Reference check_mlsc_recurrence: its own level loop, as it stood
+    before the deterministic checks ran on check_decay."""
+    counts = {j: c for j, _, c in log.checkpoints}
+    rows: list[tuple[int, int, int, int]] = []
+    ok = True
+    prev = 0  # |R_{-1}|
+    j = 0
+    while True:
+        r_j = counts.get(j, 0)
+        rstar_j = len(uncovered_after(opt.cover_times, 1 << j))
+        rows.append((j, r_j, prev, rstar_j))
+        if 4 * r_j > prev + 4 * rstar_j:
+            ok = False
+        if r_j == 0 and rstar_j == 0:
+            break
+        prev = r_j
+        j += 1
+    return ok, rows
+
+
 def test_recurrence_holds_on_random_instances():
     for seed in range(100):
         inst = mlsc_instance(seed, n=4 + seed % 3)
@@ -194,6 +215,7 @@ def test_recurrence_holds_on_random_instances():
         opt = brute_force_latency(inst.metric, inst.valuations)
         ok, rows = check_mlsc_recurrence(log, opt)
         assert ok, (seed, rows)
+        assert (ok, rows) == rerun_mlsc_recurrence(log, opt), seed
         j0 = rows[0]
         assert j0[1] <= j0[3]  # quarter-decay at j=0 degenerates to this
 

@@ -7,7 +7,8 @@ from latcov.instances import (CoverFunction, ValuationSet, check_submodular,
 from latcov.instances.generators import random_valuations
 from latcov.mlsc import ResidualValuation
 from latcov.ranking import (ResidualFunction, alg_ag, brute_force_ranking,
-                            check_log_claim, check_recurrence)
+                            check_decay, check_log_claim, check_recurrence,
+                            checkpoint_base, uncovered_at)
 from util import pairwise_submodular, perm_optimum
 
 
@@ -156,6 +157,33 @@ def test_check_log_claim_random_chains_bounded():
             assert float(total) <= 1 + math.log(1 / vs.epsilon) + 1e-9
 
 
+def rerun_recurrence(trace, opt, alpha):
+    """Reference check_recurrence: its own level loop, as it stood before
+    the deterministic checks ran on check_decay."""
+    base = checkpoint_base(alpha)
+    n = len(trace.uncovered)
+
+    def r_size(t: int) -> int:
+        return len(trace.uncovered[t - 1]) if t <= n else 0
+
+    horizon = max(n, max(opt.cover_times))
+    rows: list[tuple[int, int, int, int]] = []
+    ok = True
+    j = 0
+    prev = 0  # |R_{-1}|
+    while True:
+        r_j = r_size(base * (1 << j))
+        rstar_j = len(uncovered_at(opt.cover_times, 1 << j))
+        rows.append((j, r_j, prev, rstar_j))
+        if 4 * r_j > prev + 4 * rstar_j:
+            ok = False
+        if base * (1 << j) > horizon and (1 << j) > horizon:
+            break
+        prev = r_j
+        j += 1
+    return ok, rows
+
+
 def test_recurrence_on_random_instances():
     for seed in range(60):
         vs = random_instance("random-groups", 6, seed).valuations
@@ -163,6 +191,7 @@ def test_recurrence_on_random_instances():
         opt = brute_force_ranking(vs)
         ok, rows = check_recurrence(trace, opt, vs.alpha)
         assert ok, (seed, rows)
+        assert (ok, rows) == rerun_recurrence(trace, opt, vs.alpha), seed
         # j = 0 row is structurally true: |R_0| <= |R*_0|
         j0 = rows[0]
         assert j0[1] <= j0[3]
@@ -174,6 +203,13 @@ def test_recurrence_trivial_when_covered_at_one():
     opt = brute_force_ranking(vs)
     ok, _ = check_recurrence(trace, opt, vs.alpha)
     assert ok
+
+
+def test_decay_check_refuses_a_base_below_one():
+    # base 0 would never pass the horizon, so the scan could not stop
+    for base in (0, -2):
+        with pytest.raises(ValueError, match="base"):
+            check_decay(lambda t, t_star: [(0, 0)], base)
 
 
 def test_lifted_residual_monotone_submodular():
