@@ -115,11 +115,11 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
-def _ratio_fields(num, den) -> tuple[str, str, str]:
-    num, den = Fraction(num), Fraction(den)
-    if den == 0:
-        return "", _rat(num), _rat(den)
-    return _rat(num / den), _rat(num), _rat(den)
+def _versus(value, oracle) -> dict:
+    """The oracle fields of a record: the oracle value and value / oracle."""
+    num, den = Fraction(value), Fraction(oracle)
+    return {"oracle": _rat(den), "ratio": _rat(num / den) if den else "",
+            "ratio_num": _rat(num), "ratio_den": _rat(den)}
 
 
 def _fmt_rows(rows) -> str:
@@ -148,6 +148,8 @@ def parse_genspec(spec: str) -> Instance:
         key, eq, val = part.partition("=")
         if not eq:
             raise ValueError(f"bad generator option {part!r} in {spec!r}")
+        if key in kv:
+            raise ValueError(f"repeated generator option {key!r} in {spec!r}")
         kv[key] = val
     n = int(kv.pop("n", "5"))
     seed = int(kv.pop("seed", "0"))
@@ -200,9 +202,8 @@ def cmd_rank(args, cfg: RunConfig):
     if args.oracle:
         opt = brute_force_ranking(vs)
         ok, rows = check_recurrence(trace, opt, vs.alpha)
-        r, rn, rd = _ratio_fields(order.objective, opt.objective)
-        fields.update(oracle=_rat(opt.objective), ratio=r, ratio_num=rn,
-                      ratio_den=rd, checkpoints=_fmt_rows(rows),
+        fields.update(_versus(order.objective, opt.objective),
+                      checkpoints=_fmt_rows(rows),
                       ok="pass" if ok else "fail")
     rec = ResultRecord("rank", cfg.digest(), seed=str(args.seed), **fields)
     return [rec], (0 if fields.get("ok") != "fail" else 2)
@@ -224,9 +225,8 @@ def cmd_sop(args, cfg: RunConfig):
         exact = sop_exact(query)
         rho = (metric.n - 1).bit_length() + 1
         ok = res.value * rho >= exact.value and res.length <= budget
-        r, rn, rd = _ratio_fields(res.value, exact.value)
-        fields.update(oracle=_rat(exact.value), ratio=r, ratio_num=rn,
-                      ratio_den=rd, ok="pass" if ok else "fail")
+        fields.update(_versus(res.value, exact.value),
+                      ok="pass" if ok else "fail")
         code = 0 if ok else 2
     rec = ResultRecord("sop", cfg.digest(), seed=str(args.seed), **fields)
     return [rec], code
@@ -250,9 +250,8 @@ def cmd_mlsc(args, cfg: RunConfig):
     if args.oracle:
         opt = brute_force_latency(metric, vs)
         ok, rows = check_mlsc_recurrence(log, opt)
-        r, rn, rd = _ratio_fields(tour.objective, opt.objective)
-        fields.update(oracle=_rat(opt.objective), ratio=r, ratio_num=rn,
-                      ratio_den=rd, checkpoints=_fmt_rows(rows),
+        fields.update(_versus(tour.objective, opt.objective),
+                      checkpoints=_fmt_rows(rows),
                       ok="pass" if ok else "fail")
         code = 0 if ok else 2
     rec = ResultRecord("mlsc", cfg.digest(), seed=str(args.seed), **fields)
@@ -318,9 +317,8 @@ def _stochastic_records(st, args, cfg: RunConfig, command: str):
         opt_policy, opt_cost = optimal_adaptive(st)
         ok, rows = check_sto_recurrence(st, opt_policy, samples=args.samples,
                                         seed=args.seed, greedy=policy)
-        r, rn, rd = _ratio_fields(objective, opt_cost)
-        fields.update(oracle=_rat(opt_cost), ratio=r, ratio_num=rn,
-                      ratio_den=rd, checkpoints=_fmt_rows(rows),
+        fields.update(_versus(objective, opt_cost),
+                      checkpoints=_fmt_rows(rows),
                       ok="pass" if ok else "fail")
         code = 0 if ok else 2
     rec = ResultRecord(command, cfg.digest(), seed=str(args.seed), **fields)
@@ -403,9 +401,8 @@ def _suite_ranking(seed: int, args) -> tuple[dict, bool]:
         claim_ok &= check_log_claim(fn, chain) <= vs.alpha
 
     ok = rec_ok and ratio_ok and claim_ok
-    r, rn, rd = _ratio_fields(order.objective, opt.objective)
-    fields = dict(objective=_rat(order.objective), oracle=_rat(opt.objective),
-                  ratio=r, ratio_num=rn, ratio_den=rd,
+    fields = dict(objective=_rat(order.objective),
+                  **_versus(order.objective, opt.objective),
                   checkpoints=_fmt_rows(rows), ok="pass" if ok else "fail",
                   detail=_detail({"claim": int(claim_ok), "kind": vs.kind,
                                   "recurrence": int(rec_ok)}))
@@ -420,9 +417,8 @@ def _suite_mlsc(seed: int, args) -> tuple[dict, bool]:
     alpha = inst.valuations.alpha
     ratio_ok = tour.objective <= 56 * alpha * opt.objective
     ok = rec_ok and ratio_ok
-    r, rn, rd = _ratio_fields(tour.objective, opt.objective)
-    fields = dict(objective=_rat(tour.objective), oracle=_rat(opt.objective),
-                  ratio=r, ratio_num=rn, ratio_den=rd,
+    fields = dict(objective=_rat(tour.objective),
+                  **_versus(tour.objective, opt.objective),
                   checkpoints=_fmt_rows(rows), ok="pass" if ok else "fail",
                   detail=_detail({"phases": len(log.phases),
                                   "recurrence": int(rec_ok)}))
@@ -440,9 +436,8 @@ def _suite_lcst(seed: int, args) -> tuple[dict, bool]:
     for ph in report.phases:
         if ph.accepted and len(ph.walk) > 1:
             worst = max(worst, ph.weight / weight_cap(inst.tree, ph.level))
-    r, rn, rd = _ratio_fields(tour.objective, sol.objective)
-    fields = dict(objective=_rat(tour.objective), oracle=_rat(sol.objective),
-                  ratio=r, ratio_num=rn, ratio_den=rd,
+    fields = dict(objective=_rat(tour.objective),
+                  **_versus(tour.objective, sol.objective),
                   ok="pass" if lb_ok else "fail",
                   detail=_detail({"fallback": int(report.fallback),
                                   "weight_margin": f"{worst:.4f}"}))
@@ -463,9 +458,8 @@ def _suite_wssr(seed: int, args) -> tuple[dict, bool]:
                   for _, r, p, rs, se in rows
                   if r or p or rs or se), default=0.0)
     ok = ratio_ok and rec_ok
-    r, rn, rd = _ratio_fields(alg_cost, opt_cost)
-    fields = dict(objective=_rat(alg_cost), oracle=_rat(opt_cost),
-                  ratio=r, ratio_num=rn, ratio_den=rd,
+    fields = dict(objective=_rat(alg_cost),
+                  **_versus(alg_cost, opt_cost),
                   checkpoints=_fmt_rows(rows), ok="pass" if ok else "fail",
                   detail=_detail({"margin": f"{margin:.4f}",
                                   "recurrence": int(rec_ok)}))

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .generators import Instance
+from ..errors import CapExceeded, size_cap
+from .generators import GEN_CAP, Instance
 from .metrics import metric_from_matrix
 from .stoch import StochasticInstance
 from .trees import GroupedTree
@@ -143,6 +144,9 @@ def loads(text: str) -> Instance:
             raise ValueError(f"{tag} takes {HEADER_FIELDS[tag]} fields")
         if tag == "METRIC":
             n, root = int(toks[1]), int(toks[2])
+            if n > size_cap(GEN_CAP):   # before the O(n^3) triangle check
+                raise CapExceeded(f"METRIC capped at n={size_cap(GEN_CAP)}, "
+                                  f"got n={n}")
             rows = [[int(x) for x in take().split()] for _ in range(n)]
             metric = metric_from_matrix(rows, root)
         elif tag == "TREE":

@@ -163,10 +163,6 @@ def weight_cap(tree: GroupedTree, lv: int, weight_mult=192):
 class RoundingPhase:
     level: int
     contracted: frozenset
-    residual: tuple            # per group: members a contraction misses
-    owed: tuple                # per group: members still required
-    adjusted: dict             # flow-adjusted edge fractions
-    marginals: dict            # z = min(4 * adjusted, 1), parent-clamped
     samples: tuple             # one kept edge set per repetition
     selected: frozenset        # contracted plus every sample
     walk: tuple                # Euler tour of `selected`
@@ -176,18 +172,14 @@ class RoundingPhase:
 
 @dataclass(frozen=True)
 class RoundingReport:
-    levels: int
-    repeats: int
     phases: tuple
     fallback: bool             # full-tree Euler tour had to finish the job
-    lp: LpSolution
 
 
 def level_tour(tree: GroupedTree, sol: LpSolution, lv: int, seed,
                repeat_mult=6, weight_mult=192) -> RoundingPhase:
     """Run one level of the rounding scheme end to end."""
-    contracted, adjusted, z = level_marginals(tree, sol, lv)
-    residual, owed = residual_requirements(tree, contracted)
+    contracted, _, z = level_marginals(tree, sol, lv)
     rng = random.Random(f"lcst-level:{seed}:{lv}")
     samples = tuple(krs_round(tree, z, rng.getrandbits(32))
                     for _ in range(repeat_count(tree, repeat_mult)))
@@ -195,8 +187,7 @@ def level_tour(tree: GroupedTree, sol: LpSolution, lv: int, seed,
     walk = tuple(tree.euler_tour(set(selected)))
     weight = tree.walk_weight(walk)
     return RoundingPhase(
-        level=lv, contracted=contracted, residual=residual, owed=owed,
-        adjusted=adjusted, marginals=z, samples=samples, selected=selected,
+        level=lv, contracted=contracted, samples=samples, selected=selected,
         walk=walk, weight=weight,
         accepted=weight <= weight_cap(tree, lv, weight_mult))
 
@@ -224,6 +215,5 @@ def alg_lcst(tree: GroupedTree, seed, repeat_mult=6, weight_mult=192,
         walk.extend(tree.euler_tour()[1:])
     vs = ValuationSet.singlegroup(tree.n, tree.groups, tree.reqs)
     tour = LatencyTour.from_walk(tree.tree_metric(), vs, walk)
-    report = RoundingReport(sol.levels, repeat_count(tree, repeat_mult),
-                            tuple(phases), fallback, sol)
+    report = RoundingReport(tuple(phases), fallback)
     return tour, report

@@ -127,6 +127,12 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     """Midpoint recursion: guess the path's middle vertex and budget split,
     solve the halves recursively, chain the greedy residual.
 
+    One search serves both halves: ``best(s, t, ...)`` ends at t, and
+    ``best(s, None, ...)`` ends anywhere, as the top-level query and the
+    right half of each of its splits do. Direct candidates are [s, t] (or
+    [s]) for a fixed endpoint, and [s], then each [s, v] within budget in
+    ascending v, for a free one.
+
     Depth ceil(log2 k) suffices when the optimal path visits k vertices; k is
     bounded by the budget over the smallest positive distance, which keeps
     desk-scale runs shallow. The declared guarantee stays
@@ -153,72 +159,47 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
     memo: dict = {}
 
-    def closed(s: int, t: int, budget: int, depth: int, mask: int):
-        """Best path s..t of length <= budget given collected mask.
-        Returns (g(mask u path), path) or None if d(s,t) > budget."""
-        if d[s][t] > budget:
-            return None
-        key = ("c", s, t, budget, depth, mask)
+    def best(s: int, t: int | None, budget: int, depth: int, mask: int):
+        """Best path from s of length <= budget given collected mask, ending
+        at t, or anywhere if t is None; callers keep d(s, t) <= budget.
+        Returns (g(mask u path), path, path mask)."""
+        key = (s, t, budget, depth, mask)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        direct = [s, t] if s != t else [s]
-        best = (g.value(mask | _mask(direct)), direct)
+        if t is None:
+            top = (g.value(mask | 1 << s), [s], 1 << s)
+            for v in range(n):
+                if v != s and d[s][v] <= budget:
+                    pm = 1 << s | 1 << v
+                    val = g.value(mask | pm)
+                    if val > top[0]:
+                        top = (val, [s, v], pm)
+        else:
+            pm = 1 << s | 1 << t
+            top = (g.value(mask | pm), [s, t] if s != t else [s], pm)
         if depth > 0:
             for v in range(n):
-                lo, back = d[s][v], d[v][t]
+                lo, back = d[s][v], d[v][t] if t is not None else 0
                 if lo + back > budget:
                     continue
                 prev = None
+                # b1 >= d(s, v) and budget - b1 >= d(v, t): both halves exist
                 for b1 in range(lo, budget - back + 1):
-                    left = closed(s, v, b1, depth - 1, mask)
-                    if left is None or left[1] == prev:
+                    left = best(s, v, b1, depth - 1, mask)
+                    if left[1] == prev:
                         continue
                     prev = left[1]
-                    lmask = _mask(left[1])
-                    right = closed(v, t, budget - b1, depth - 1, mask | lmask)
-                    if right is None:
-                        continue
-                    total = g.value(mask | lmask | _mask(right[1]))
-                    if total > best[0]:
-                        best = (total, left[1] + right[1][1:])
-        memo[key] = best
-        return best
+                    right = best(v, t, budget - b1, depth - 1, mask | left[2])
+                    pm = left[2] | right[2]
+                    total = g.value(mask | pm)
+                    if total > top[0]:
+                        top = (total, left[1] + right[1][1:], pm)
+        memo[key] = top
+        return top
 
-    def open_path(s: int, budget: int, depth: int, mask: int):
-        """Best path starting at s, free endpoint."""
-        key = ("o", s, budget, depth, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = (g.value(mask | 1 << s), [s])
-        for v in range(n):
-            if v != s and d[s][v] <= budget:
-                val = g.value(mask | 1 << s | 1 << v)
-                if val > best[0]:
-                    best = (val, [s, v])
-        if depth > 0:
-            for v in range(n):
-                lo = d[s][v]
-                if lo > budget:
-                    continue
-                prev = None
-                for b1 in range(lo, budget + 1):
-                    left = closed(s, v, b1, depth - 1, mask)
-                    if left is None or left[1] == prev:
-                        continue
-                    prev = left[1]
-                    lmask = _mask(left[1])
-                    right = open_path(v, budget - b1, depth - 1, mask | lmask)
-                    total = g.value(mask | lmask | _mask(right[1]))
-                    if total > best[0]:
-                        best = (total, left[1] + right[1][1:])
-        memo[key] = best
-        return best
-
-    _, path = open_path(q.root, q.budget, depth, 0)
-    # closed and open_path reach each other through their closure cells, a
-    # cycle that keeps the memo alive until the cycle collector runs
+    path = best(q.root, None, q.budget, depth, 0)[1]
+    # best reaches itself through its closure cell, a cycle that keeps the
+    # memo alive until the cycle collector runs
     memo.clear()
     return _finish(q, path, declared)
-

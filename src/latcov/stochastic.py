@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .errors import CapExceeded, size_cap
 from .instances.stoch import StochasticInstance, Support
 from .instances.valuations import (ONE, ZERO, CoverFunction, CoverTerm,
-                                   ValuationSet)
+                                   ResidualFunction, ValuationSet)
 from .ranking import check_decay, checkpoint_base, uncovered_at
 
 ADAPTIVE_ELEMENT_CAP = 4
@@ -73,15 +73,9 @@ def sto_residual_score(inst: StochasticInstance, scheduled: int,
     """
     if scheduled & (1 << e):
         raise ValueError("element already scheduled")
-    total = ZERO
-    for f in inst.valuations.functions:
-        base = f.value(realized)
-        if base < 1:
-            gain = ZERO
-            for b, p in inst.supports[e]:
-                gain += p * (f.value(realized | (1 << b)) - base)
-            total += gain / (1 - base)
-    return total / inst.lengths[e]
+    res = ResidualFunction(inst.valuations, realized)
+    gain = sum((p * res.value(1 << b) for b, p in inst.supports[e]), ZERO)
+    return gain / inst.lengths[e]
 
 
 def _draw(supp: Support, rng: random.Random) -> int:

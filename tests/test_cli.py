@@ -180,6 +180,7 @@ def test_suite_jobs_do_not_change_bytes(capsys):
 
 def test_exit_codes():
     assert cli.main(["rank", "--gen", "nonsense:n=3"]) == 2
+    assert cli.main(["gen", "tree:n=5:n=6", "-"]) == 2
     assert cli.main(["wssr", "--in", "/no/such/file.lcov"]) == 2
     # over the adaptive caps: surfaces as an invariant violation
     assert cli.main(["wssr", "--gen", "stochastic:n=6:seed=1",
@@ -249,16 +250,20 @@ def test_nonpositive_suite_seeds_is_bad_input(capsys):
         assert "Traceback" not in captured.err, seeds
 
 
-def test_explicit_table_refused_before_tabulating(capsys):
+def test_explicit_table_refused_before_tabulating(tmp_path, capsys):
     # 2^20 and 2^30 table entries: refused up front, not after building;
     # so are generator sizes past GEN_CAP, which overflowed, hung, or (for
-    # uniform:n=1000) spent a minute in the metric's triangle check
+    # uniform:n=1000) spent a minute in the metric's triangle check, and a
+    # METRIC header past the same cap, refused before its rows are read
     huge = 10 ** 20
+    big = tmp_path / "big.lcov"
+    big.write_text("LATCOV v1 mlsc\nMETRIC 1000 0\n")
     for argv in (["gen", "grid:n=20:seed=1"], ["gen", "explicit:n=30"],
                  ["gen", f"coverage:n={huge}"],
                  ["rank", "--gen", f"gmssc:n={huge}"],
                  ["gen", f"tree:n={huge}"], ["gen", f"stochastic:n={huge}"],
-                 ["gen", f"uniform:n={huge}"], ["gen", "uniform:n=1000"]):
+                 ["gen", f"uniform:n={huge}"], ["gen", "uniform:n=1000"],
+                 ["sop", "--in", str(big)]):
         start = time.perf_counter()
         assert cli.main(argv) == 2, argv
         assert time.perf_counter() - start < 5, argv
