@@ -142,15 +142,19 @@ def loads(text: str) -> Instance:
             break
         if tag in HEADER_FIELDS and len(toks) != 1 + HEADER_FIELDS[tag]:
             raise ValueError(f"{tag} takes {HEADER_FIELDS[tag]} fields")
+        if tag in ("METRIC", "VALUATIONS"):   # before any row is parsed
+            n = int(toks[1 if tag == "METRIC" else 2])
+            if n > size_cap(GEN_CAP):
+                raise CapExceeded(f"{tag} capped at n={size_cap(GEN_CAP)}, "
+                                  f"got n={n}")
         if tag == "METRIC":
             n, root = int(toks[1]), int(toks[2])
-            if n > size_cap(GEN_CAP):   # before the O(n^3) triangle check
-                raise CapExceeded(f"METRIC capped at n={size_cap(GEN_CAP)}, "
-                                  f"got n={n}")
             rows = [[int(x) for x in take().split()] for _ in range(n)]
             metric = metric_from_matrix(rows, root)
         elif tag == "TREE":
             nv, root = int(toks[1]), int(toks[2])
+            if nv - 1 > len(lines) - pos:   # before allocating nv slots
+                raise ValueError(f"TREE {nv}: too few rows in the file")
             parent: list = [None] * nv
             weight = [0] * nv
             for _ in range(nv - 1):

@@ -6,7 +6,10 @@ edges, the level budget sum w_e x_e <= 2^l, level monotonicity
 y^l <= y^{l+1}, and y^L <= 1.  Cut inequalities are generated lazily:
 after each solve the separation oracle runs for every (level, group) pair
 and each new violated row joins the system, until none is violated beyond
-the tolerance.  The reported objective is (1/2) sum_l 2^l sum_g (1 - y^l_g).
+the tolerance; a pair whose inputs (x on the group's reduced tree, y^l_g)
+did not change since its last round reuses that round's answer.  Every
+coefficient is an integer: exact mode hands the simplex int rows and gets
+Fractions back.  The reported objective is (1/2) sum_l 2^l sum_g (1 - y^l_g).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import SolverStall
-from .separation import separate_kc
+from .separation import reduced_tree, separate_kc
 from .simplex import solve_canonical_max
 
 # above this many variables the tableau switches from exact rationals to
@@ -68,7 +71,7 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
     nlev = L + 1
     nvars = nlev * (E + G)
     exact = nvars <= exact_limit
-    num = Fraction if exact else float
+    num = int if exact else float
     tol = Fraction(0) if exact else FLOAT_TOL
     pivot_tol = Fraction(0) if exact else PIVOT_TOL
     zero = num(0)
@@ -81,19 +84,15 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
     def yvar(lv: int, gi: int) -> int:
         return nlev * E + lv * G + gi
 
-    c = [zero] * nvars
-    for lv in range(nlev):
-        for gi in range(G):
-            c[yvar(lv, gi)] = num(1 << lv)
+    # x columns cost nothing; y^l_g (column yvar(l, g)) earns 2^l
+    c = [zero] * (nlev * E) + [num(1 << lv) for lv in range(nlev)
+                               for _ in range(G)]
 
-    rows: list[list] = []
+    rows: list[dict] = []   # {column: coefficient}
     rhs: list = []
 
     def add_row(coeffs: dict, b):
-        row = [zero] * nvars
-        for j, v in coeffs.items():
-            row[j] = num(v)
-        rows.append(row)
+        rows.append({j: num(v) for j, v in coeffs.items()})
         rhs.append(num(b))
 
     for lv in range(nlev):
@@ -110,6 +109,8 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
             add_row({yvar(lv, gi): 1, yvar(lv + 1, gi): -1}, 0)
         add_row({yvar(L, gi): 1}, 1)
 
+    closures = [reduced_tree(tree, g) for g in tree.groups]
+    memo: dict = {}   # (level, group) -> (inputs, separation result)
     seen: set = set()
     cuts: list[KcRow] = []
     iterations = 0
@@ -124,12 +125,14 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
         xs = tuple({e: sol[xvar(lv, e)] for e in edges} for lv in range(nlev))
         ys = tuple(tuple(sol[yvar(lv, gi)] for gi in range(G))
                    for lv in range(nlev))
-        violated = False
-        fresh = 0
-        worst = zero
+        violated, fresh, worst = False, 0, zero
         for gi, (g, k) in enumerate(zip(tree.groups, tree.reqs)):
             for lv in range(nlev):
-                v = separate_kc(tree, g, k, xs[lv], ys[lv][gi], tol=tol)
+                inputs = (tuple(xs[lv][e] for e in closures[gi]), ys[lv][gi])
+                last, v = memo.get((lv, gi), (None, None))
+                if last != inputs:
+                    v = separate_kc(tree, g, k, xs[lv], ys[lv][gi], tol=tol)
+                    memo[lv, gi] = inputs, v
                 if v is None:
                     continue
                 violated = True
@@ -141,12 +144,10 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
                 seen.add(sig)
                 cuts.append(KcRow(lv, gi, v.multiplier, v.leaf_cut,
                                   v.inner_cut))
-                coeffs = {yvar(lv, gi): v.multiplier}
-                for e in v.leaf_cut:
-                    coeffs[xvar(lv, e)] = -1
-                for e in v.inner_cut:
-                    coeffs[xvar(lv, e)] = -v.multiplier
-                add_row(coeffs, 0)
+                add_row({yvar(lv, gi): v.multiplier,
+                         **{xvar(lv, e): -1 for e in v.leaf_cut},
+                         **{xvar(lv, e): -v.multiplier for e in v.inner_cut}},
+                        0)
                 fresh += 1
         if not violated:
             break

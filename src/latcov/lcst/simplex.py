@@ -1,165 +1,160 @@
-"""Tableau simplex for LPs in canonical form.
+"""Sparse tableau simplex for LPs in canonical form.
 
 maximize c.x  subject to  A x <= b, x >= 0, with every b_i >= 0, so the
-slack basis is feasible and no phase-1 is needed. Entering column: most
-negative reduced cost while the objective is moving, switching permanently
-to Bland's rule after a degenerate stretch, which keeps termination
-guaranteed. Leaving row: smallest ratio, ties to the smallest basic index.
+slack basis is feasible and no phase-1 is needed. Row i of A is a mapping
+{column: entry}. Entering column: most negative reduced cost, smallest
+index on ties, switching for good to Bland's rule after 40 degenerate
+pivots, which keeps termination guaranteed. Leaving row: smallest ratio,
+ties to the smallest basic index.
 
-Exact data (ints and Fractions, tol 0) pivots in integers: each row is a
-list of int numerators over a positive denominator of its own. The pivot
-row P is divided by the gcd of its entries, so its pivot entry p equals its
+Each tableau row (the objective is row m) is a dict of its nonzero cells,
+the rhs a dense list apart (float signed zeros survive there), and index[j]
+the set of rows with a nonzero in column j, kept as cells fill in and
+cancel. A pivot visits only the rows in the entering column's index, and
+in each only the pivot row's cells and the rhs.
+
+Exact data (ints and Fractions, tol 0) pivots in integers: each row holds
+int numerators over a positive denominator of its own (1 for int rows).
+The pivot row P is divided by its gcd, so its pivot entry p equals its
 denominator; a row R with entry f in the entering column becomes
 (a R - k P) / (a den_R) with a = p/g, k = f/g, g = gcd(p, f), as in the
 fraction-free elimination of Bareiss and Edmonds, and is reduced by its gcd
-whenever a > 1. Ratios compare by cross-multiplication; Fractions are built
-only for the returned point and value. Other data (floats with a small
-tolerance) pivots in its own arithmetic. A pivot touches only the rows with
-a nonzero entry in the entering column, and there only the nonzero columns
-of the pivot row plus the rhs. The values, hence the pivots, are those of
-dense elimination; floats agree bit for bit.
+whenever a > 1. Ratios compare by cross-multiplication. Float data pivots
+in floats. The pivots are those of dense elimination, bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain
 from math import gcd, lcm
-from operator import attrgetter, itemgetter, lt
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..errors import Unbounded
 
-_num = attrgetter("numerator")
-_den = attrgetter("denominator")
 
-
-def solve_canonical_max(c: Sequence, rows: Sequence[Sequence], b: Sequence,
+def solve_canonical_max(c: Sequence, rows: Sequence[Mapping], b: Sequence,
                         tol=Fraction(0)):
     """Return (x, value) maximizing c.x over {A x <= b, x >= 0}.
 
+    `rows[i]` maps column indices to the entries of row i of A.
     Raises Unbounded when the objective is unbounded above. `tol` is the
     pivot/optimality threshold: keep it 0 for exact data.
     """
-    m = len(rows)
-    n = len(c)
+    m, n = len(rows), len(c)
     if any(bi < 0 for bi in b):
         raise ValueError("canonical form needs b >= 0")
     zero = c[0] * 0 if c else Fraction(0)
-    exact = tol == 0 and all(issubclass(t, (int, Fraction)) for t in
-                             set(map(type, chain(c, b, *rows))))
+    types = set(map(type, chain(c, b, *(r.values() for r in rows))))
+    exact = tol == 0 and all(issubclass(t, (int, Fraction)) for t in types)
 
-    # columns: n structural, m slacks, then the rhs; the objective is row m
-    # exact rows hold numerators over den[i], their slack entry is den[i]
-    tab, den = [], []
-    for i in range(m + 1):
-        row = list(rows[i]) + [b[i]] if i < m else [-ci for ci in c] + [zero]
-        unit = zero + 1
-        if exact:
-            unit = lcm(*map(_den, row))
-            row = ([v.numerator * (unit // v.denominator) for v in row]
-                   if unit > 1 else list(map(_num, row)))
-            den.append(unit)
-        slack = [0 if exact else zero] * m
+    # columns: n structural, then m slacks whose entry is den[i]
+    tab = [{j: v for j, v in r.items() if v} for r in rows]
+    tab.append({j: -v for j, v in enumerate(c) if v})
+    rhs = list(b) + [zero]
+    den = [zero + 1] * (m + 1)
+    if exact and types - {int}:  # lift Fraction rows over their lcm
+        for i, row in enumerate(tab):
+            unit = den[i] = lcm(rhs[i].denominator,
+                                *[v.denominator for v in row.values()])
+            rhs[i] = rhs[i].numerator * (unit // rhs[i].denominator)
+            for j, v in row.items():
+                row[j] = v.numerator * (unit // v.denominator)
+    index = [set() for _ in range(n + m)]
+    for i, row in enumerate(tab):
         if i < m:
-            slack[i] = unit
-        tab.append(row[:n] + slack + row[n:])
+            row[n + i] = den[i]
+        for j in row:
+            index[j].add(i)
     basis = list(range(n, n + m))
     if exact:
         tol = 0
-    pivot = _pivot_exact if exact else _pivot
-    bland = False
-    stalled = 0
+    bland, stalled = False, 0
     while True:
-        obj = tab[m]
-        if bland:  # smallest eligible index
-            enter = next((j for j in range(n + m) if obj[j] < -tol), -1)
-        else:  # most negative reduced cost, smallest index on ties
-            enter = min(range(n + m), key=obj.__getitem__, default=-1)
-            if enter >= 0 and not obj[enter] < -tol:
-                enter = -1
+        # Bland: the smallest eligible index; else the smallest index of the
+        # most negative reduced cost
+        low = None if bland else min(tab[m].values(), default=zero)
+        enter = min((j for j, v in tab[m].items()
+                     if v < -tol and (bland or v == low)), default=-1)
         if enter < 0:
             break
-        col = list(map(itemgetter(enter), tab))
-        leave, moved = _ratio(tab, col, m, basis, tol, exact)
+        col = {i: tab[i][enter] for i in index[enter]}
+        # ratio test: (ratio, basic index) is a total order, so the scan
+        # order is free; integer rows cross-multiply (denominators cancel)
+        leave, best_r, best_a = -1, 0, 1
+        for i, a in col.items():
+            if i == m or not tol < a:
+                continue
+            r = rhs[i]
+            if not exact:
+                r, a = r / a, 1
+            lhs, rt = r * best_a, best_r * a
+            if leave < 0 or lhs < rt or lhs == rt and basis[i] < basis[leave]:
+                best_r, best_a, leave = r, a, i
         if leave < 0:
             raise Unbounded("objective unbounded above")
-        pivot(tab, den, col, leave)
+        _pivot(tab, rhs, den, index, col, leave, enter, exact)
         basis[leave] = enter
         # a long degenerate stretch risks cycling under the greedy rule
         if not bland:
-            stalled = 0 if moved else stalled + 1
+            stalled = 0 if best_r > tol else stalled + 1
             bland = stalled >= 40
 
-    def rhs(i):
-        return Fraction(tab[i][-1], den[i]) if exact else tab[i][-1]
-
+    if exact:
+        rhs = [Fraction(r, d) for r, d in zip(rhs, den)]
     x = [Fraction(0) if exact else zero] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = rhs(i)
-    return x, rhs(m)
+            x[bv] = rhs[i]
+    return x, rhs[m]
 
 
-def _ratio(tab, col, m, basis, tol, exact):
-    """Leaving row by the ratio test, and whether the step is positive.
-
-    Integer rows compare rhs/entry by cross-multiplication (their
-    denominators cancel); other rows divide, with 1 as the divisor.
-    """
-    leave, best_r, best_a = -1, 0, 1
-    for i in compress(range(m), map(lt, repeat(tol), col)):
-        r, a = tab[i][-1], col[i]
-        if not exact:
-            r, a = r / a, 1
-        lhs, rhs = r * best_a, best_r * a
-        if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-            best_r, best_a, leave = r, a, i
-    return leave, best_r > tol
-
-
-def _nonzero(row):
-    return list(compress(range(len(row)), row))
-
-
-def _support(prow):
-    """Columns a pivot on `prow` changes: its nonzeros and the rhs."""
-    return _nonzero(prow[:-1]) + [len(prow) - 1]
-
-
-def _pivot(tab, den, col, leave):
+def _pivot(tab, rhs, den, index, col, leave, enter, exact):
     prow = tab[leave]
-    cols = _support(prow)
-    piv = col[leave]
-    for j in cols:
-        prow[j] = prow[j] / piv
-    for i in compress(range(len(tab)), col):
-        if i != leave:
-            row, f = tab[i], col[i]
-            for j in cols:
-                row[j] -= f * prow[j]
-
-
-def _pivot_exact(tab, den, col, leave):
-    prow = tab[leave]
-    g = gcd(*prow)
-    for j in _nonzero(prow):
-        prow[j] //= g
-    piv = den[leave] = col[leave] // g
-    cols = _support(prow)
-    for i in compress(range(len(tab)), col):
-        if i != leave:
-            row = tab[i]
-            g = gcd(piv, col[i])
-            a, f = piv // g, col[i] // g
-            nz = _nonzero(row) if a > 1 else ()
-            for j in nz:
-                row[j] *= a
-            for j in cols:
-                row[j] -= f * prow[j]
-            if a > 1:  # the denominator grew: reduce the row
-                nz = set(nz).union(cols)
-                g = gcd(den[i] * a, *[row[j] for j in nz])
-                for j in nz:
-                    row[j] //= g
-                den[i] = den[i] * a // g
+    if exact:  # P over its gcd: its pivot entry becomes its denominator
+        g = gcd(rhs[leave], *prow.values())
+        piv = den[leave] = col[leave] // g
+        tab[leave] = prow = {j: v // g for j, v in prow.items()}
+        rhs[leave] //= g
+    else:
+        piv = col[leave]
+        tab[leave] = prow = {j: v / piv for j, v in prow.items()}
+        rhs[leave] /= piv
+        for j in [j for j, v in prow.items() if not v]:  # underflow
+            del prow[j]
+            index[j].discard(leave)
+    pr = rhs[leave]
+    pcells = [(j, p) for j, p in prow.items() if j != enter]
+    for i, f in col.items():
+        if i == leave:
+            continue
+        row = tab[i]
+        del row[enter]  # exactly 0: f - f * (piv / piv), or a f - k p
+        a = 1
+        if exact:
+            g = gcd(piv, f)
+            a, f = piv // g, f // g
+            if a > 1:
+                tab[i] = row = {j: v * a for j, v in row.items()}
+                rhs[i] *= a
+        for j, p in pcells:  # row -= f * P, keeping the index
+            v = row.get(j)
+            if v is None:
+                v = f * p
+                if v:  # a float product can underflow to zero
+                    row[j] = -v
+                    index[j].add(i)
+            else:
+                v -= f * p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+                    index[j].discard(i)
+        rhs[i] -= f * pr
+        if a > 1:  # the denominator grew: reduce the row
+            g = gcd(den[i] * a, rhs[i], *row.values())
+            tab[i] = {j: v // g for j, v in row.items()}
+            rhs[i] //= g
+            den[i] = den[i] * a // g
+    index[enter] = {leave}

@@ -6,6 +6,7 @@ exit codes and stdout are observable without subprocesses.
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -20,6 +21,11 @@ from latcov.instances.generators import random_valuations
 from latcov.ranking import alg_ag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+# [exit code, stdout sha256] of larger exact LCST runs, recorded before the
+# sparse simplex replaced the dense tableau
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "lcst_records.json")) as _fh:
+    LCST_RECORDS = json.load(_fh)
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +274,35 @@ def test_explicit_table_refused_before_tabulating(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         assert time.perf_counter() - start < 5, argv
         assert "capped" in capsys.readouterr().err
+
+
+def test_tree_header_longer_than_file_is_bad_input(tmp_path, capsys):
+    # nv - 1 rows cannot fit in what is left of the file: refused before
+    # the nv-slot parent array is allocated (a MemoryError traceback before)
+    path = tmp_path / "huge.lcov"
+    path.write_text("LATCOV v1 lcst\nTREE 1000000000000 0\nGROUPS 0\nEND\n")
+    assert cli.main(["lcst", "--tree", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "TREE" in err and "Traceback" not in err
+
+
+def test_valuations_header_is_capped(tmp_path, capsys):
+    # one coverable function over 100000 elements: ranking ran on (past 15 s)
+    path = tmp_path / "wide.lcov"
+    path.write_text("LATCOV v1 ranking\nVALUATIONS 1 100000 coverage 1/2\n"
+                    "wtc 1 ; 1/1 : 0:1/1\nEND\n")
+    start = time.perf_counter()
+    assert cli.main(["rank", "--in", str(path)]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert "VALUATIONS capped" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", sorted(LCST_RECORDS))
+def test_larger_lcst_records_are_pinned(argv, capsys):
+    code, out = run_cli(capsys, *argv.split())
+    assert [code, hashlib.sha256(out.encode()).hexdigest()] == \
+        LCST_RECORDS[argv]
 
 
 def test_exit_code_infeasible(monkeypatch):

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from latcov.cli import _tree_from_metric, parse_genspec
 from latcov.errors import SolverStall
-from latcov.lcst.lp import level_count, solve_lp_lcst
+from latcov.lcst.lp import (EXACT_VAR_LIMIT, FLOAT_TOL, PIVOT_TOL, KcRow,
+                            level_count, solve_lp_lcst)
 from latcov.lcst.separation import reduced_tree, separate_kc
+from latcov.lcst.simplex import solve_canonical_max
 
 from util import (random_grouped_tree, single_leaf_tree, tree_tour_optimum,
                   two_level_tree)
@@ -123,3 +126,111 @@ def test_float_mode_matches_exact_on_small_instance():
 def test_iteration_cap_raises():
     with pytest.raises(SolverStall):
         solve_lp_lcst(single_leaf_tree(6), max_iters=1)
+
+
+def unmemoized_lp_lcst(tree, exact_limit=EXACT_VAR_LIMIT):
+    """The cut loop before the separation memo: every round separates every
+    (level, group) pair, on Fraction (or float) data.
+
+    Returns (x, y, objective, iterations, cuts) as solve_lp_lcst computes
+    them; the base rows and the cut rows are built in the same order.
+    """
+    edges = tree.edges
+    E, G = len(edges), len(tree.groups)
+    L = level_count(tree)
+    nlev = L + 1
+    nvars = nlev * (E + G)
+    exact = nvars <= exact_limit
+    num = Fraction if exact else float
+    tol = Fraction(0) if exact else FLOAT_TOL
+    pivot_tol = Fraction(0) if exact else PIVOT_TOL
+    eidx = {e: i for i, e in enumerate(edges)}
+
+    def xvar(lv, e):
+        return lv * E + eidx[e]
+
+    def yvar(lv, gi):
+        return nlev * E + lv * G + gi
+
+    c = [num(0)] * nvars
+    for lv in range(nlev):
+        for gi in range(G):
+            c[yvar(lv, gi)] = num(1 << lv)
+    rows, rhs = [], []
+
+    def add_row(coeffs, b):
+        rows.append({j: num(v) for j, v in coeffs.items()})
+        rhs.append(num(b))
+
+    for lv in range(nlev):
+        for e in edges:
+            p = tree.parent[e]
+            if p == tree.root:
+                add_row({xvar(lv, e): 1}, 1)
+            else:
+                add_row({xvar(lv, e): 1, xvar(lv, p): -1}, 0)
+        add_row({xvar(lv, e): tree.weight[e] for e in edges if tree.weight[e]},
+                1 << lv)
+    for gi in range(G):
+        for lv in range(L):
+            add_row({yvar(lv, gi): 1, yvar(lv + 1, gi): -1}, 0)
+        add_row({yvar(L, gi): 1}, 1)
+
+    seen, cuts, iterations = set(), [], 0
+    while True:
+        sol, value = solve_canonical_max(c, rows, rhs, tol=pivot_tol)
+        iterations += 1
+        xs = tuple({e: sol[xvar(lv, e)] for e in edges} for lv in range(nlev))
+        ys = tuple(tuple(sol[yvar(lv, gi)] for gi in range(G))
+                   for lv in range(nlev))
+        violated, fresh = False, 0
+        for gi, (g, k) in enumerate(zip(tree.groups, tree.reqs)):
+            for lv in range(nlev):
+                v = separate_kc(tree, g, k, xs[lv], ys[lv][gi], tol=tol)
+                if v is None:
+                    continue
+                violated = True
+                sig = (lv, gi, v.multiplier, v.leaf_cut, v.inner_cut)
+                if sig in seen:
+                    continue
+                seen.add(sig)
+                cuts.append(KcRow(lv, gi, v.multiplier, v.leaf_cut,
+                                  v.inner_cut))
+                coeffs = {yvar(lv, gi): v.multiplier}
+                for e in v.leaf_cut:
+                    coeffs[xvar(lv, e)] = -1
+                for e in v.inner_cut:
+                    coeffs[xvar(lv, e)] = -v.multiplier
+                add_row(coeffs, 0)
+                fresh += 1
+        if not violated:
+            break
+        assert fresh > 0
+    half = Fraction(1, 2) if exact else 0.5
+    objective = half * (num(G * ((1 << nlev) - 1)) - value)
+    return xs, ys, objective, iterations, tuple(cuts)
+
+
+# random_grouped_tree seeds, generated trees, and the benchmark's embedded
+# grid (embed seed 0), whose LP runs in floats
+MEMO_CASES = ([f"random:{seed}" for seed in range(100, 106)]
+              + [f"tree:n={n}:seed=1" for n in range(6, 13)]
+              + ["grid:n=10:seed=6"])
+
+
+def memo_tree(name):
+    kind, arg = name.split(":", 1)
+    if kind == "random":
+        return random_grouped_tree(int(arg), 4 + int(arg) % 3)
+    inst = parse_genspec(name)
+    return inst.tree if kind == "tree" else _tree_from_metric(inst, 0)
+
+
+@pytest.mark.parametrize("name", MEMO_CASES)
+def test_separation_memo_matches_unmemoized_loop(name):
+    tree = memo_tree(name)
+    sol = solve_lp_lcst(tree)
+    got = (sol.x, sol.y, sol.objective, sol.iterations, sol.cuts)
+    want = unmemoized_lp_lcst(tree)
+    assert sol.exact == (not name.startswith("grid"))
+    assert repr(got) == repr(want)
