@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -45,6 +46,14 @@ class Metric:
 
     def d(self, u: int, v: int) -> int:
         return self.dist[u][v]
+
+    @functools.cached_property
+    def min_separation(self) -> int:
+        """Smallest distance between two distinct vertices; 0 if two
+        vertices coincide or there is only one."""
+        n = self.n
+        return min((self.dist[u][v] for u in range(n)
+                    for v in range(u + 1, n)), default=0)
 
     @property
     def diameter(self) -> int:

@@ -16,11 +16,13 @@ the budgeted path searches and the MLSC phases score with it; the
 stochastic greedy takes its expectation over one element's draw.
 
 Values are exact rationals throughout; there is no float path here.
-Inside ``CoverFunction.value`` and ``min_nonzero_marginal`` they are ints
-over one common denominator; every value that leaves either is a Fraction.
-A ``CoverFunction`` and a ``ResidualFunction`` memoize their values per
-mask; the terms are frozen, so a cached value is the exact Fraction the
-computation would return again.
+Every valuation also exposes its values as ints over one fixed
+denominator: ``num(mask)`` is f(mask) * ``den``. Comparisons inside the
+library (the greedy argmaxes, the budgeted path searches, cover tests)
+use ``num``; ``value(mask)`` is ``Fraction(num(mask), den)``, the same
+Fraction the rational computation gives. A ``CoverFunction`` and a
+``ResidualFunction`` memoize ``num`` per mask; the terms are frozen, so a
+cached int is the one the computation would return again.
 """
 
 from __future__ import annotations
@@ -65,18 +67,18 @@ class CoverTerm:
 class CoverFunction:
     """Weighted truncated coverage; monotone submodular by construction."""
 
-    __slots__ = ("n", "terms", "_items", "_den", "_memo")
+    __slots__ = ("n", "terms", "den", "_items", "_memo")
 
     def __init__(self, n: int, terms: Sequence[CoverTerm]):
         self.n = n
         self.terms = tuple(terms)
         if any(t.members and t.members[-1] >= n for t in self.terms):
             raise ValueError("term member out of range")
-        # int credits over cap_t = lcm(unit denominators), scaled over _den;
+        # int credits over cap_t = lcm(unit denominators), scaled over den;
         # _items: (mask, [(bit, credit)...], cap_t, scale_t, all-hit value)
         live = [t for t in self.terms if t.weight]
         caps = [math.lcm(*(u.denominator for u in t.units)) for t in live]
-        den = self._den = math.lcm(*(t.weight.denominator * c
+        den = self.den = math.lcm(*(t.weight.denominator * c
                                      for t, c in zip(live, caps)))
         self._items = []
         for t, cap in zip(live, caps):
@@ -85,9 +87,10 @@ class CoverFunction:
                      for e, u in zip(t.members, t.units)]
             whole = min(cap, sum(c for _, c in pairs))
             self._items.append((t.mask, pairs, cap, scale, scale * whole))
-        self._memo: dict[int, Fraction] = {}
+        self._memo: dict[int, int] = {}
 
-    def value(self, mask: int) -> Fraction:
+    def num(self, mask: int) -> int:
+        """f(mask) * den."""
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
@@ -102,20 +105,29 @@ class CoverFunction:
                     if hit & bit:
                         credit += c
                 total += scale * (credit if credit < cap else cap)
-        value = self._memo[mask] = Fraction(total, self._den)
-        return value
+        self._memo[mask] = total
+        return total
+
+    def value(self, mask: int) -> Fraction:
+        return Fraction(self.num(mask), self.den)
 
 
 class ExplicitFunction:
     """Valuation given as a table over all 2^n subsets."""
 
-    __slots__ = ("n", "table")
+    __slots__ = ("n", "table", "den", "_nums")
 
     def __init__(self, n: int, table: Sequence[Fraction]):
         if len(table) != 1 << n:
             raise ValueError("table must have 2^n entries")
         self.n = n
         self.table = tuple(Fraction(v) for v in table)
+        self.den = math.lcm(*(v.denominator for v in self.table))
+        self._nums = tuple(v.numerator * (self.den // v.denominator)
+                           for v in self.table)
+
+    def num(self, mask: int) -> int:
+        return self._nums[mask]
 
     def value(self, mask: int) -> Fraction:
         return self.table[mask]
@@ -126,34 +138,43 @@ class ResidualFunction:
     (f_i(S u T) - f_i(S)) / (1 - f_i(S)).
 
     Monotone submodular whenever every f_i is; each uncovered valuation
-    contributes at most 1, reached exactly when T completes it.
+    contributes at most 1, reached exactly when T completes it. As ints:
+    with F_i, B_i the nums of f_i at S u T and at S and D_i its den, term i
+    is (F_i - B_i) / (D_i - B_i), so num(T) sums (F_i - B_i) * (den // gap_i)
+    over den = lcm of the gaps D_i - B_i (1 when all are covered).
     """
 
-    __slots__ = ("s_mask", "_active", "_memo")
+    __slots__ = ("s_mask", "den", "_active", "_memo")
 
     def __init__(self, vs: ValuationSet, s_mask: int):
         self.s_mask = s_mask
-        self._active = []   # (f_i, f_i(S), 1 - f_i(S)) for uncovered f_i
+        active = []   # (f_i, B_i, D_i - B_i) for uncovered f_i
         for f in vs.functions:
-            base = f.value(s_mask)
-            if base < 1:
-                self._active.append((f, base, 1 - base))
-        self._memo: dict[int, Fraction] = {}   # keyed by S u T
+            base = f.num(s_mask)
+            if base < f.den:
+                active.append((f, base, f.den - base))
+        den = self.den = math.lcm(*(gap for _, _, gap in active))
+        self._active = [(f.num, base, den // gap) for f, base, gap in active]
+        self._memo: dict[int, int] = {}   # keyed by S u T
 
     @property
     def uncovered(self) -> int:
         return len(self._active)
 
-    def value(self, t_mask: int) -> Fraction:
+    def num(self, t_mask: int) -> int:
+        """value(t_mask) * den."""
         u = self.s_mask | t_mask
         hit = self._memo.get(u)
         if hit is not None:
             return hit
-        total = ZERO
-        for f, base, gap in self._active:
-            total += (f.value(u) - base) / gap
+        total = 0
+        for num, base, scale in self._active:
+            total += (num(u) - base) * scale
         self._memo[u] = total
         return total
+
+    def value(self, t_mask: int) -> Fraction:
+        return Fraction(self.num(t_mask), self.den)
 
 
 def uniform_term(weight: Fraction, members: Sequence[int], k: int) -> CoverTerm:
@@ -247,7 +268,8 @@ class ValuationSet:
             mask |= 1 << point
             still = []
             for i in pending:
-                if self.functions[i].value(mask) == 1:
+                f = self.functions[i]
+                if f.num(mask) == f.den:
                     cover[i] = time
                 else:
                     still.append(i)
@@ -331,12 +353,10 @@ def alpha_from_epsilon(epsilon: Fraction) -> Fraction:
 
 def min_nonzero_marginal(fn, n: int) -> Fraction:
     """Exhaustive smallest nonzero single-element marginal of one function,
-    scanned as ints over the common denominator of its 2^n values."""
+    scanned as its ints over its one denominator."""
     if n > size_cap(SUBMODULAR_CAP):
         raise CapExceeded("marginal enumeration capped at n=12")
-    vals = [fn.value(mask) for mask in range(1 << n)]
-    den = math.lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (den // v.denominator) for v in vals]
+    ints = [fn.num(mask) for mask in range(1 << n)]
     best: int | None = None
     for mask, base in enumerate(ints):
         for e in range(n):
@@ -347,4 +367,4 @@ def min_nonzero_marginal(fn, n: int) -> Fraction:
                 best = gain
     if best is None:
         raise ValueError("function is constant")
-    return Fraction(best, den)
+    return Fraction(best, fn.den)

@@ -6,10 +6,12 @@ edges, the level budget sum w_e x_e <= 2^l, level monotonicity
 y^l <= y^{l+1}, and y^L <= 1.  Cut inequalities are generated lazily:
 after each solve the separation oracle runs for every (level, group) pair
 and each new violated row joins the system, until none is violated beyond
-the tolerance; a pair whose inputs (x on the group's reduced tree, y^l_g)
-did not change since its last round reuses that round's answer.  Every
-coefficient is an integer: exact mode hands the simplex int rows and gets
-Fractions back.  The reported objective is (1/2) sum_l 2^l sum_g (1 - y^l_g).
+the tolerance.  The oracle's answer depends only on the group and its
+inputs (x on the group's reduced tree, y^l_g), not on the level, so each
+group keeps one memo of answers keyed by inputs, shared by its levels and
+rounds.  Every coefficient is an integer: exact mode hands the simplex int
+rows and gets Fractions back.  The reported objective is
+(1/2) sum_l 2^l sum_g (1 - y^l_g).
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
         add_row({yvar(L, gi): 1}, 1)
 
     closures = [reduced_tree(tree, g) for g in tree.groups]
-    memo: dict = {}   # (level, group) -> (inputs, separation result)
+    memos = [{} for _ in range(G)]   # per group: inputs -> separation result
     seen: set = set()
     cuts: list[KcRow] = []
     iterations = 0
@@ -127,12 +129,14 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
                    for lv in range(nlev))
         violated, fresh, worst = False, 0, zero
         for gi, (g, k) in enumerate(zip(tree.groups, tree.reqs)):
+            memo = memos[gi]
             for lv in range(nlev):
                 inputs = (tuple(xs[lv][e] for e in closures[gi]), ys[lv][gi])
-                last, v = memo.get((lv, gi), (None, None))
-                if last != inputs:
-                    v = separate_kc(tree, g, k, xs[lv], ys[lv][gi], tol=tol)
-                    memo[lv, gi] = inputs, v
+                if inputs in memo:
+                    v = memo[inputs]
+                else:
+                    v = memo[inputs] = separate_kc(tree, g, k, xs[lv],
+                                                   ys[lv][gi], tol=tol)
                 if v is None:
                     continue
                 violated = True

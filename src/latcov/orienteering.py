@@ -27,7 +27,9 @@ RG_CAP = 64
 class SopQuery:
     metric: Metric
     root: int
-    valuation: object          # .value(vertex mask) -> rational, monotone submodular
+    # monotone submodular on vertex masks: .num(mask) -> int over the int
+    # .den, and .value(mask) -> Fraction(num(mask), den)
+    valuation: object
     budget: int
 
     def __post_init__(self):
@@ -70,20 +72,21 @@ def sop_exact(q: SopQuery) -> SopResult:
 
     Values are only evaluated at extension-maximal paths; monotonicity makes
     every prefix dominated by its extensions, so no maximizer is missed.
-    Ties: larger value, then shorter length, then lexicographic path.
+    Ties: larger value, then shorter length, then lexicographic path. Values
+    are compared as the valuation's ints over its one denominator.
     """
     n = q.metric.n
     if n > size_cap(EXACT_CAP):
         raise CapExceeded(f"sop_exact capped at |V|={EXACT_CAP}")
     d = q.metric.dist
-    g = q.valuation
+    num = q.valuation.num
     best_path = [q.root]
     best_len = 0
-    best_val = g.value(1 << q.root)
+    best_val = num(1 << q.root)
 
     def consider(path: list[int], length: int):
         nonlocal best_path, best_len, best_val
-        val = g.value(_mask(path))
+        val = num(_mask(path))
         if (val > best_val
                 or (val == best_val and length < best_len)
                 or (val == best_val and length == best_len and path < best_path)):
@@ -112,15 +115,10 @@ def sop_exact(q: SopQuery) -> SopResult:
 
 def _path_vertex_bound(q: SopQuery) -> int:
     """Upper bound on vertices of any budget-feasible path from the root."""
-    n = q.metric.n
-    positive = [q.metric.d(u, v)
-                for u in range(n) for v in range(u + 1, n)
-                if q.metric.d(u, v) > 0]
-    if len(positive) < n * (n - 1) // 2:
-        return n  # zero-distance pairs: no bound from the budget
-    if not positive:
-        return n
-    return min(n, q.budget // min(positive) + 1)
+    sep = q.metric.min_separation
+    if sep == 0:
+        return q.metric.n  # zero-distance pairs: no bound from the budget
+    return min(q.metric.n, q.budget // sep + 1)
 
 
 def sop_recursive_greedy(q: SopQuery) -> SopResult:
@@ -136,11 +134,10 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     Depth ceil(log2 k) suffices when the optimal path visits k vertices; k is
     bounded by the budget over the smallest positive distance, which keeps
     desk-scale runs shallow. The declared guarantee stays
-    (ceil(log2 |V|) + 1, 1). The recursion caches on (endpoints, budget,
-    depth, collected mask), which is loss-free. Candidates are compared by
-    g(mask u path) rather than by the gain over g(mask): within one call the
-    subtracted base is the same for all of them, so the exact comparison,
-    and with it the argmax and its tie order, does not change.
+    (ceil(log2 |V|) + 1, 1). Candidates are compared by g(mask u path), as
+    the valuation's ints, rather than by the gain over g(mask): within one
+    call the subtracted base is the same for all of them, so the exact
+    comparison, and with it the argmax and its tie order, does not change.
 
     For a fixed midpoint v the split b1 walks upward, skipping a split whose
     left path equals the last one tried. Both halves are nondecreasing in
@@ -148,55 +145,101 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     candidates, none worth less), so the smaller right budget cannot beat a
     total already compared; only a strictly larger total replaces the best,
     so the argmax and its tie order do not change.
+
+    The memo is keyed on (s, t, depth, mask), and each entry answers a whole
+    interval of budgets. Claim: if best at budget B returns a path of length
+    l, it returns the same path at every B' in [l, B]. By induction on
+    depth: a direct winner exists at B' and is compared first, as at B. A
+    split winner sits at position (v, l_left), the first b1 whose left half
+    is its left path, because by induction the left half returns that path
+    on [l_left, b1] and the skip drops every later position with it. At B'
+    that position exists with a right budget in [l_right, B - l_left], so by
+    induction it yields the same candidate, and it is not skipped. Every
+    candidate before it at B' is worth at most its counterpart at B, by
+    monotonicity in the budget, and that counterpart was strictly worse than
+    the winner; every candidate after it is worth at most its counterpart,
+    which did not beat the winner. Upward, the candidate sequence, and so
+    the answer, stays the same below the first budget where one of these
+    changes, the entry's `next`: the smallest
+      * d(s, v) > B over direct endpoints v (free endpoint only);
+      * d(s, v) + d(v, t) over midpoints v not yet feasible;
+      * b1 + the right half's next, over the splits tried;
+      * the last left half's next + d(v, t), per midpoint, since the
+        positions past B - d(v, t) repeat that left path, and are skipped,
+        until its next.
+    So an entry answers every budget in [l, next), and for a fixed midpoint
+    the b1 loop jumps from one left half's next to the following one.
     """
     n = q.metric.n
     if n > size_cap(RG_CAP):
         raise CapExceeded(f"sop_recursive_greedy capped at |V|={RG_CAP}")
     d = q.metric.dist
-    g = q.valuation
+    num = q.valuation.num
     declared = (math.ceil(math.log2(n)) + 1 if n > 1 else 1, 1)
     kmax = _path_vertex_bound(q)
     depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
-    memo: dict = {}
+    never = q.budget + 1   # no call asks for a larger budget
+    memo: dict = {}        # (s, t, depth, mask) -> entries
 
     def best(s: int, t: int | None, budget: int, depth: int, mask: int):
         """Best path from s of length <= budget given collected mask, ending
         at t, or anywhere if t is None; callers keep d(s, t) <= budget.
-        Returns (g(mask u path), path, path mask)."""
-        key = (s, t, budget, depth, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        Returns the entry (g(mask u path) as an int, path, path mask, path
+        length, next), the answer at every budget in [length, next)."""
+        key = (s, t, depth, mask)
+        entries = memo.get(key)
+        if entries is None:
+            entries = memo[key] = []
+        else:
+            for hit in entries:
+                if hit[3] <= budget < hit[4]:
+                    return hit
+        ds = d[s]
+        nxt = never
         if t is None:
-            top = (g.value(mask | 1 << s), [s], 1 << s)
+            top = (num(mask | 1 << s), (s,), 1 << s, 0)
             for v in range(n):
-                if v != s and d[s][v] <= budget:
+                if v == s:
+                    continue
+                if ds[v] <= budget:
                     pm = 1 << s | 1 << v
-                    val = g.value(mask | pm)
+                    val = num(mask | pm)
                     if val > top[0]:
-                        top = (val, [s, v], pm)
+                        top = (val, (s, v), pm, ds[v])
+                elif ds[v] < nxt:
+                    nxt = ds[v]
         else:
             pm = 1 << s | 1 << t
-            top = (g.value(mask | pm), [s, t] if s != t else [s], pm)
+            top = (num(mask | pm), (s, t) if s != t else (s,), pm, ds[t])
         if depth > 0:
             for v in range(n):
-                lo, back = d[s][v], d[v][t] if t is not None else 0
+                lo, back = ds[v], d[v][t] if t is not None else 0
                 if lo + back > budget:
+                    if lo + back < nxt:
+                        nxt = lo + back
                     continue
                 prev = None
                 # b1 >= d(s, v) and budget - b1 >= d(v, t): both halves exist
-                for b1 in range(lo, budget - back + 1):
+                b1 = lo
+                while b1 <= budget - back:
                     left = best(s, v, b1, depth - 1, mask)
-                    if left[1] == prev:
-                        continue
-                    prev = left[1]
-                    right = best(v, t, budget - b1, depth - 1, mask | left[2])
-                    pm = left[2] | right[2]
-                    total = g.value(mask | pm)
-                    if total > top[0]:
-                        top = (total, left[1] + right[1][1:], pm)
-        memo[key] = top
-        return top
+                    if left[1] != prev:
+                        prev = left[1]
+                        right = best(v, t, budget - b1, depth - 1,
+                                     mask | left[2])
+                        if b1 + right[4] < nxt:
+                            nxt = b1 + right[4]
+                        pm = left[2] | right[2]
+                        total = num(mask | pm)
+                        if total > top[0]:
+                            top = (total, left[1] + right[1][1:], pm,
+                                   left[3] + right[3])
+                    b1 = left[4]   # the left half is the same until then
+                if b1 + back < nxt:
+                    nxt = b1 + back
+        entry = top + (nxt,)
+        entries.append(entry)
+        return entry
 
     path = best(q.root, None, q.budget, depth, 0)[1]
     # best reaches itself through its closure cell, a cycle that keeps the

@@ -42,16 +42,22 @@ class RankingTrace:
 
 def alg_ag(vs: ValuationSet) -> tuple[Ordering, RankingTrace]:
     """Greedy ranking: each step schedules the unscheduled element e of
-    largest ResidualFunction(vs, S).value(1 << e); ties go to the smallest
-    element index."""
+    largest ResidualFunction(vs, S).value(1 << e), compared as its num;
+    ties go to the smallest element index. Once everything is covered
+    every score is 0, so the rest follow in index order with zero scores."""
     n = vs.n
     perm: list[int] = []
     mask = 0
     score_log: list[Fraction] = []
     for _ in range(n):
         residual = ResidualFunction(vs, mask)
+        if not residual.uncovered:
+            rest = [e for e in range(n) if not mask & (1 << e)]
+            perm.extend(rest)
+            score_log.extend([ZERO] * len(rest))
+            break
         e = max((e for e in range(n) if not mask & (1 << e)),
-                key=lambda e: residual.value(1 << e))
+                key=lambda e: residual.num(1 << e))
         perm.append(e)
         score_log.append(residual.value(1 << e))
         mask |= 1 << e
@@ -67,7 +73,7 @@ def _uncovered_counts(vs: ValuationSet) -> list[int]:
     counts = [0] * (1 << n)
     for f in vs.functions:
         for mask in range(1 << n):
-            if f.value(mask) < 1:
+            if f.num(mask) < f.den:
                 counts[mask] += 1
     return counts
 

@@ -65,17 +65,22 @@ class PolicyEvaluation:
 
 
 def sto_residual_score(inst: StochasticInstance, scheduled: int,
-                       realized: int, e: int) -> Fraction:
+                       realized: int, e: int,
+                       residual: Optional[ResidualFunction] = None
+                       ) -> Fraction:
     """Expected residual gain of element e, per unit of its length.
 
     scheduled is a bitmask over elements, realized a bitmask over domain
     points already drawn. Exact: sums the element's explicit distribution.
+    residual, if given, must be ResidualFunction(inst.valuations,
+    realized); callers scoring many elements at one state pass one.
     """
     if scheduled & (1 << e):
         raise ValueError("element already scheduled")
-    res = ResidualFunction(inst.valuations, realized)
-    gain = sum((p * res.value(1 << b) for b, p in inst.supports[e]), ZERO)
-    return gain / inst.lengths[e]
+    if residual is None:
+        residual = ResidualFunction(inst.valuations, realized)
+    gain = sum((p * residual.num(1 << b) for b, p in inst.supports[e]), ZERO)
+    return gain / (residual.den * inst.lengths[e])
 
 
 def _draw(supp: Support, rng: random.Random) -> int:
@@ -179,7 +184,7 @@ def optimal_adaptive(inst: StochasticInstance
         key = (scheduled, realized)
         if key in memo:
             return memo[key]
-        uncovered = sum(1 for f in functions if f.value(realized) < 1)
+        uncovered = sum(1 for f in functions if f.num(realized) < f.den)
         if uncovered == 0 or scheduled == full:
             memo[key] = (ZERO, None)
             return memo[key]
@@ -202,17 +207,19 @@ def greedy_policy(inst: StochasticInstance) -> AdaptivePolicy:
     element of largest sto_residual_score, smallest index on ties, and
     None once every element is scheduled. Each state is computed when
     first asked and cached, so only the states a caller visits cost
-    anything and there is no size cap.
+    anything and there is no size cap. One ResidualFunction per state
+    serves the scores of all its elements.
     """
-    functions = inst.valuations.functions
 
     @functools.cache
     def rule(scheduled: int, realized: int) -> Optional[int]:
-        if all(f.value(realized) == 1 for f in functions):
+        residual = ResidualFunction(inst.valuations, realized)
+        if not residual.uncovered:
             return None
         return max((e for e in range(inst.n) if not scheduled & (1 << e)),
                    key=functools.partial(sto_residual_score, inst,
-                                         scheduled, realized),
+                                         scheduled, realized,
+                                         residual=residual),
                    default=None)
 
     return rule

@@ -265,6 +265,19 @@ def test_cover_function_ints_over_coprime_denominators():
     assert CoverFunction(5, terms[:1]).value(0b111) == Fraction(1, 7)
 
 
+def test_explicit_function_num_den_round_trip():
+    for seed in range(20):
+        rng = random.Random(f"explicit-num:{seed}")
+        n = rng.randint(0, 5)
+        table = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7, 12)))
+                 for _ in range(1 << n)]
+        f = ExplicitFunction(n, table)
+        assert f.den == math.lcm(*(v.denominator for v in table))
+        for mask, v in enumerate(table):
+            assert type(f.num(mask)) is int
+            assert Fraction(f.num(mask), f.den) == f.value(mask) == v
+
+
 def fraction_min_nonzero_marginal(fn, n):
     gains = [fn.value(mask | 1 << e) - fn.value(mask)
              for mask in range(1 << n) for e in range(n) if not mask >> e & 1]

@@ -9,8 +9,9 @@ import pytest
 from latcov import orienteering
 from latcov.errors import CapExceeded
 from latcov.instances import random_instance
-from latcov.instances.metrics import GridPoints, uniform_metric
-from latcov.instances.valuations import CoverFunction, uniform_term
+from latcov.instances.metrics import GridPoints, metric_closure, uniform_metric
+from latcov.instances.valuations import (CoverFunction, ExplicitFunction,
+                                         uniform_term)
 from latcov.mlsc import alg_mlsc
 from latcov.orienteering import SopQuery, sop_exact, sop_recursive_greedy
 from latcov.ranking import ResidualFunction
@@ -318,3 +319,36 @@ def test_pruned_splits_match_full_scan_on_mlsc_queries():
             runs = [alg_mlsc(inst.metric, inst.valuations, solver, 1, 1)
                     for solver in (sop_recursive_greedy, gain_recursive_greedy)]
             assert runs[0] == runs[1], (n, seed)
+
+
+def test_every_budget_matches_gain_compare_on_grids():
+    # one query per budget 0..2 * diameter: entries answer whole budget
+    # intervals and the b1 loop jumps between them, so every budget must
+    # still give the full scan's result
+    for n in (6, 7, 8):
+        for seed in range(4):
+            inst = random_instance("euclidean-grid-metric", n, seed)
+            metric = inst.metric
+            g = ResidualFunction(inst.valuations, 0)
+            for budget in range(2 * metric.diameter + 1):
+                q = SopQuery(metric, metric.root, g, budget)
+                assert (sop_recursive_greedy(q)
+                        == gain_recursive_greedy(q)), (n, seed, budget)
+
+
+def test_every_budget_matches_gain_compare_on_supermodular_tables():
+    # the interval argument needs only that best is monotone in the budget,
+    # which holds for any valuation; a squared weight sum rewards long paths,
+    # so a right half that improves at a larger budget can take over
+    for seed in range(30):
+        rng = random.Random(f"square:{seed}")
+        n = rng.randint(4, 9)
+        metric = metric_closure([[0 if i == j else rng.randint(1, 6)
+                                  for j in range(n)] for i in range(n)])
+        w = [rng.randint(0, 5) for _ in range(n)]
+        g = ExplicitFunction(n, [sum(w[e] for e in range(n) if m >> e & 1) ** 2
+                                 for m in range(1 << n)])
+        for budget in range(2 * metric.diameter + 1):
+            q = SopQuery(metric, 0, g, budget)
+            assert (sop_recursive_greedy(q)
+                    == gain_recursive_greedy(q)), (seed, budget)

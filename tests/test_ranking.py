@@ -4,7 +4,7 @@ import pytest
 
 from latcov.instances import (CoverFunction, ValuationSet, check_submodular,
                               random_instance)
-from latcov.instances.generators import random_valuations
+from latcov.instances.generators import STYLES, random_valuations
 from latcov.mlsc import ResidualValuation
 from latcov.ranking import (ResidualFunction, alg_ag, brute_force_ranking,
                             check_decay, check_log_claim, check_recurrence,
@@ -254,3 +254,53 @@ def test_residual_memos_are_per_scheduled_set():
                                 for f in fresh if f.value(s) < 1),
                                Fraction(0))
                     assert res.value(t) == want, (seed, s, t)
+
+
+def scoring_alg_ag(vs):
+    """Reference copy of the greedy loop that scores every step, also after
+    everything is covered, and compares Fraction values."""
+    n = vs.n
+    perm, scores, mask = [], [], 0
+    for _ in range(n):
+        residual = ResidualFunction(vs, mask)
+        e = max((e for e in range(n) if not mask & (1 << e)),
+                key=lambda e: residual.value(1 << e))
+        perm.append(e)
+        scores.append(residual.value(1 << e))
+        mask |= 1 << e
+    return tuple(perm), tuple(scores)
+
+
+def test_alg_ag_matches_scoring_every_step():
+    early = 0
+    for style in STYLES:
+        for n in range(3, 9):
+            for seed in range(4):
+                vs = random_valuations(style, n, seed)
+                order, trace = alg_ag(vs)
+                assert (order.permutation, trace.chosen_scores) \
+                    == scoring_alg_ag(vs), (style, n, seed)
+                early += max(order.cover_times) < n
+    assert early > 0   # the covered tail is exercised
+
+
+def test_residual_value_is_num_over_den():
+    # every style, against the Fraction sum; the last residual has every
+    # function covered at S, so its den is 1 and every num is 0
+    for style in STYLES:
+        for seed in range(3):
+            vs = random_valuations(style, 5, seed)
+            full = (1 << vs.n) - 1
+            for s in (0, 0b00101, 0b11010, full):
+                res = ResidualFunction(vs, s)
+                for t in range(full + 1):
+                    want = sum(((f.value(s | t) - f.value(s))
+                                / (1 - f.value(s))
+                                for f in vs.functions if f.value(s) < 1),
+                               Fraction(0))
+                    num = res.num(t)
+                    assert type(num) is int
+                    assert res.value(t) == Fraction(num, res.den) == want
+            covered = ResidualFunction(vs, full)
+            assert covered.uncovered == 0 and covered.den == 1
+            assert all(covered.num(t) == 0 for t in range(full + 1))

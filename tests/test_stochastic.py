@@ -301,9 +301,9 @@ def _cli_objective(capsys, *argv):
 def test_monte_carlo_wssr_scores_each_state_once(capsys, monkeypatch):
     scored = []
 
-    def counting(inst, scheduled, realized, e):
+    def counting(inst, scheduled, realized, e, **shared):
         scored.append((scheduled, realized, e))
-        return sto_residual_score(inst, scheduled, realized, e)
+        return sto_residual_score(inst, scheduled, realized, e, **shared)
 
     monkeypatch.setattr(stochastic, "sto_residual_score", counting)
     _cli_objective(capsys, "wssr", "--gen", "stochastic:n=7:seed=1",
@@ -315,9 +315,9 @@ def test_oracle_wssr_scores_each_state_once(capsys, monkeypatch):
     # the exact evaluation and the recurrence check replay one greedy rule
     scored = []
 
-    def counting(inst, scheduled, realized, e):
+    def counting(inst, scheduled, realized, e, **shared):
         scored.append((scheduled, realized, e))
-        return sto_residual_score(inst, scheduled, realized, e)
+        return sto_residual_score(inst, scheduled, realized, e, **shared)
 
     monkeypatch.setattr(stochastic, "sto_residual_score", counting)
     assert cli.main(["wssr", "--gen", "stochastic:n=4:seed=1", "--oracle",
