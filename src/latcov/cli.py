@@ -26,9 +26,9 @@ from fractions import Fraction
 from hashlib import sha256
 
 from .errors import (CapExceeded, Infeasible, SolverStall, Unbounded,
-                     Uncoverable)
+                     Uncoverable, size_cap)
 from .instances import serial
-from .instances.generators import (Instance, random_instance,
+from .instances.generators import (GEN_CAP, Instance, random_instance,
                                    random_valuations)
 from .lcst.embed import frt_embed
 from .lcst.lp import solve_lp_lcst
@@ -299,9 +299,8 @@ def _stochastic_records(st, args, cfg: RunConfig, command: str):
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     policy = greedy_policy(st)
     try:
-        ev = evaluate_policy(st, policy, mode="exact")
-        objective = ev.total
-        detail = {"mode": "exact", "horizon": ev.horizon}
+        objective = evaluate_policy(st, policy)
+        detail = {"mode": "exact", "horizon": st.total_length}
     except CapExceeded:
         rng = random.Random(f"wssr-cli:{args.seed}")
         total = Fraction(0)
@@ -338,8 +337,13 @@ def _int_sets(text: str) -> list[list[int]]:
     return [_ints(part) for part in text.split(";")]
 
 
+def _frac(token: str) -> Fraction:
+    """A `p/q` or plain-integer token, read as instance files read `p/q`."""
+    return serial.parse_rat(token if "/" in token else f"{token}/1")
+
+
 def _fracs(text: str) -> list[Fraction]:
-    return [Fraction(t) for t in text.split(",") if t]
+    return [_frac(t) for t in text.split(",") if t]
 
 
 def _supports(text: str) -> list[tuple[tuple[int, Fraction], ...]]:
@@ -351,13 +355,22 @@ def _supports(text: str) -> list[tuple[tuple[int, Fraction], ...]]:
             val, colon, prob = pair.partition(":")
             if not colon:
                 raise ValueError(f"bad support point {pair!r}")
-            pts.append((int(val), Fraction(prob)))
+            pts.append((int(val), _frac(prob)))
         out.append(tuple(pts))
     return out
 
 
+def _domain(args) -> int:
+    """--domain, refused past the generators' cap before any valuation
+    tabulates 2^domain-sized masks."""
+    if args.domain > size_cap(GEN_CAP):
+        raise CapExceeded(f"--domain capped at n={size_cap(GEN_CAP)}, "
+                          f"got n={args.domain}")
+    return args.domain
+
+
 def cmd_ssc(args, cfg: RunConfig):
-    st = reduce_ssc(args.domain, _int_sets(args.sets),
+    st = reduce_ssc(_domain(args), _int_sets(args.sets),
                     _supports(args.elements), _ints(args.lengths))
     return _stochastic_records(st, args, cfg, "ssc")
 
@@ -370,7 +383,7 @@ def cmd_filters(args, cfg: RunConfig):
 
 
 def cmd_sgmssc(args, cfg: RunConfig):
-    st = reduce_sgmssc(args.domain, _int_sets(args.sets), _ints(args.reqs),
+    st = reduce_sgmssc(_domain(args), _int_sets(args.sets), _ints(args.reqs),
                        _supports(args.elements), _ints(args.lengths))
     return _stochastic_records(st, args, cfg, "sgmssc")
 
@@ -448,7 +461,7 @@ def _suite_wssr(seed: int, args) -> tuple[dict, bool]:
     st = random_instance("random-stochastic", 3 + seed % 2, seed).stochastic
     opt_policy, opt_cost = optimal_adaptive(st)
     greedy = greedy_policy(st)
-    alg_cost = evaluate_policy(st, greedy, mode="exact").total
+    alg_cost = evaluate_policy(st, greedy)
     ratio_ok = alg_cost <= 56 * st.valuations.alpha * opt_cost
     rec_ok, rows = check_sto_recurrence(st, opt_policy, samples=args.samples,
                                         seed=seed, greedy=greedy)

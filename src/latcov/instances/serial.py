@@ -39,7 +39,7 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _parse_rat(tok: str) -> Fraction:
+def parse_rat(tok: str) -> Fraction:
     if "/" not in tok:
         raise ValueError(f"rational must be written p/q, got {tok!r}")
     p, q = (int(t) for t in tok.split("/", 1))
@@ -172,7 +172,7 @@ def loads(text: str) -> Instance:
                 groups.append([int(x) for x in members.split()])
             tree = GroupedTree(parent, weight, root, groups, reqs)
         elif tag == "VALUATIONS":
-            m, n, vkind, eps = int(toks[1]), int(toks[2]), toks[3], _parse_rat(toks[4])
+            m, n, vkind, eps = int(toks[1]), int(toks[2]), toks[3], parse_rat(toks[4])
             fns = [_parse_function(take(), n) for _ in range(m)]
             valuations = ValuationSet(n, fns, vkind, eps)
         elif tag == "STOCHASTIC":
@@ -186,7 +186,7 @@ def loads(text: str) -> Instance:
                 items = body.split()
                 if len(items) % 2:
                     raise ValueError("support needs point/probability pairs")
-                supp = tuple((int(items[i]), _parse_rat(items[i + 1]))
+                supp = tuple((int(items[i]), parse_rat(items[i + 1]))
                              for i in range(0, len(items), 2))
                 supports.append(supp)
             stochastic = StochasticInstance(domain, tuple(supports),
@@ -212,7 +212,7 @@ def loads(text: str) -> Instance:
 def _parse_function(line: str, n: int):
     toks = line.split() or [""]
     if toks[0] == "explicit":
-        table = [_parse_rat(t) for t in toks[1:]]
+        table = [parse_rat(t) for t in toks[1:]]
         return ExplicitFunction(n, table)
     if toks[0] != "wtc":
         raise ValueError(f"unknown function encoding {toks[0]!r}")
@@ -226,12 +226,12 @@ def _parse_function(line: str, n: int):
     terms = []
     for chunk in chunks[1:]:
         w_part, body = chunk.split(" : ", 1)
-        weight = _parse_rat(w_part)
+        weight = parse_rat(w_part)
         members, units = [], []
         for item in body.split():
             e, u = item.split(":", 1)
             members.append(int(e))
-            units.append(_parse_rat(u))
+            units.append(parse_rat(u))
         terms.append(CoverTerm(weight, tuple(members), tuple(units)))
     return CoverFunction(n, terms)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ..errors import Infeasible
-from ..instances.trees import GroupedTree, cover_times
+from ..instances.trees import GroupedTree
 from ..instances.valuations import ValuationSet
 from ..mlsc import LatencyTour
 from .lp import FLOAT_TOL, LpSolution, solve_lp_lcst
@@ -198,7 +198,9 @@ def alg_lcst(tree: GroupedTree, seed, repeat_mult=6, weight_mult=192,
     gate, stop as soon as the stitched walk covers every group.  Returns
     (LatencyTour, RoundingReport)."""
     sol = lp if lp is not None else solve_lp_lcst(tree)
+    vs = ValuationSet.singlegroup(tree.n, tree.groups, tree.reqs)
     walk: list[int] = [tree.root]
+    visited = 1 << tree.root
     phases: list[RoundingPhase] = []
     covered = False
     for lv in range(sol.levels + 1):
@@ -206,14 +208,15 @@ def alg_lcst(tree: GroupedTree, seed, repeat_mult=6, weight_mult=192,
         phases.append(ph)
         if ph.accepted and len(ph.walk) > 1:
             walk.extend(ph.walk[1:])
-        times, _ = cover_times(tree, walk)
-        if all(t is not None for t in times):
+            for v in ph.walk:
+                visited |= 1 << v
+        # a group is covered once k of its members are visited: f = 1
+        if all(f.num(visited) == f.den for f in vs.functions):
             covered = True
             break
     fallback = not covered
     if fallback:
         walk.extend(tree.euler_tour()[1:])
-    vs = ValuationSet.singlegroup(tree.n, tree.groups, tree.reqs)
     tour = LatencyTour.from_walk(tree.tree_metric(), vs, walk)
     report = RoundingReport(tuple(phases), fallback)
     return tour, report

@@ -8,11 +8,12 @@ expectation runs over the element's own distribution and is exact.
 
 A policy is a rule on knowledge states (scheduled set, realized set), both
 bitmasks: it names the next element, or None to stop. Replay asks it state
-by state along one outcome vector; exact evaluation branches on the chosen
-element's support. greedy_policy computes its rule lazily, one cached state
-at a time, so it has no size cap. optimal_adaptive is backward induction
-over the same states; that space is exponential, so it and exact evaluation
-are capped very small.
+by state along one outcome vector. One memoized recursion over states gives
+a policy's exact expected cost (evaluate_policy) and, minimizing over the
+next element, the optimal policy (optimal_adaptive). That space is
+exponential, so both are capped very small; past the cap the `wssr` command
+samples greedy runs. greedy_policy computes its rule lazily, one cached
+state at a time, so it has no size cap.
 
 Cover times are clock times (prefix sums of lengths). A valuation no
 realization satisfies pays the full schedule length, the maximum time any
@@ -51,17 +52,6 @@ class RealizedSchedule:
     finish: tuple[int, ...]       # clock time each element completed
     cover_times: tuple[int, ...]  # per valuation; horizon if never covered
     objective: int
-
-
-@dataclass(frozen=True)
-class PolicyEvaluation:
-    """Expected cover times of a policy; exact or Monte-Carlo."""
-
-    total: Fraction
-    per_function: tuple[Fraction, ...]
-    horizon: int                  # sum of lengths; the never-covered charge
-    stderr: Optional[float]       # standard error of `total`; None if exact
-    samples: Optional[int]        # None if exact
 
 
 def sto_residual_score(inst: StochasticInstance, scheduled: int,
@@ -107,10 +97,7 @@ def _replay(inst: StochasticInstance, policy: AdaptivePolicy,
     scheduled = realized = clock = 0
     while (e := policy(scheduled, realized)) is not None:
         b = outcome[e]
-        for pt, _ in supports[e]:
-            if pt == b:
-                break
-        else:
+        if b not in dict(supports[e]):
             raise ValueError(f"outcome {b} not in element {e}'s support")
         scheduled |= 1 << e
         realized |= 1 << b
@@ -151,51 +138,66 @@ def alg_ag_sto(inst: StochasticInstance, outcome: Sequence[int],
     return RealizedSchedule(*columns, times, sum(times))
 
 
-def _check_adaptive_cap(inst: StochasticInstance, what: str):
+def _check_adaptive_cap(inst: StochasticInstance):
     n_cap = size_cap(ADAPTIVE_ELEMENT_CAP)
     s_cap = size_cap(ADAPTIVE_SUPPORT_CAP)
-    if inst.n <= n_cap and max(len(s) for s in inst.supports) <= s_cap:
-        return
-    states = 1
-    for supp in inst.supports:
-        states *= 1 + len(supp)
-    raise CapExceeded(
-        f"{what} needs <= {n_cap} elements with supports <= {s_cap}; "
-        f"this instance has about {states} knowledge states")
+    if inst.n > n_cap or max(len(s) for s in inst.supports) > s_cap:
+        states = math.prod(1 + len(s) for s in inst.supports)
+        raise CapExceeded(
+            f"exact adaptive evaluation needs <= {n_cap} elements with "
+            f"supports <= {s_cap}; this instance has about {states} "
+            f"knowledge states")
+
+
+def _expected(inst: StochasticInstance,
+              policy: Optional[AdaptivePolicy] = None
+              ) -> Callable[[int, int], tuple[Fraction, Optional[int]]]:
+    """Memoized (scheduled, realized) -> (expected remaining cost, element
+    taken or None at a stop).
+
+    A step costs length * #uncovered plus the expectation over the
+    element's support; a stop charges each uncovered valuation the rest of
+    the horizon, total_length - clock. The sum is the expected total cover
+    time, a function of the state alone since elements are independent.
+    The element taken is the policy's choice or, with no policy, the
+    cheapest unscheduled one while anything is uncovered (ties to the
+    smallest index), which is backward induction for the optimum.
+    """
+    _check_adaptive_cap(inst)
+    functions, lengths = inst.valuations.functions, inst.lengths
+
+    @functools.cache
+    def solve(scheduled: int, realized: int) -> tuple[Fraction, Optional[int]]:
+        uncovered = sum(1 for f in functions if f.num(realized) < f.den)
+
+        def step(e: int) -> Fraction:
+            return lengths[e] * uncovered + sum(
+                p * solve(scheduled | (1 << e), realized | (1 << b))[0]
+                for b, p in inst.supports[e])
+
+        if policy is not None:
+            e = policy(scheduled, realized)
+            options = () if e is None else (e,)
+        else:
+            options = [e for e in range(inst.n)
+                       if uncovered and not scheduled & (1 << e)]
+        if options:
+            return min(((step(e), e) for e in options), key=itemgetter(0))
+        left = sum(ln for e, ln in enumerate(lengths)
+                   if not scheduled & (1 << e))
+        return Fraction(uncovered * left), None
+
+    return solve
 
 
 def optimal_adaptive(inst: StochasticInstance
                      ) -> tuple[AdaptivePolicy, Fraction]:
     """Exact minimum expected total cover time, with an optimal policy.
 
-    Backward induction over (scheduled set, realized set). Each step costs
-    length * #uncovered, which telescopes to the summed cover times under
-    the horizon convention; scheduling continues while anything is
-    uncovered, and stopping early is never cheaper than that convention.
-    Ties go to the smallest element index. The policy reads the choice off
-    the induction's memo.
+    _expected without a policy; stopping early is never cheaper than the
+    horizon charge. The policy reads the choice off the recursion's memo.
     """
-    _check_adaptive_cap(inst, "optimal_adaptive")
-    functions = inst.valuations.functions
-    full = (1 << inst.n) - 1
-    memo: dict[tuple[int, int], tuple[Fraction, Optional[int]]] = {}
-
-    def solve(scheduled: int, realized: int) -> tuple[Fraction, Optional[int]]:
-        key = (scheduled, realized)
-        if key in memo:
-            return memo[key]
-        uncovered = sum(1 for f in functions if f.num(realized) < f.den)
-        if uncovered == 0 or scheduled == full:
-            memo[key] = (ZERO, None)
-            return memo[key]
-        memo[key] = min(
-            ((inst.lengths[e] * uncovered
-              + sum(p * solve(scheduled | (1 << e), realized | (1 << b))[0]
-                    for b, p in inst.supports[e]), e)
-             for e in range(inst.n) if not scheduled & (1 << e)),
-            key=itemgetter(0))
-        return memo[key]
-
+    solve = _expected(inst)
     total, _ = solve(0, 0)
     return (lambda scheduled, realized: solve(scheduled, realized)[1]), total
 
@@ -231,53 +233,11 @@ def policy_cover_times(inst: StochasticInstance, policy: AdaptivePolicy,
     return _cover_times(inst, _replay(inst, policy, outcome))
 
 
-def evaluate_policy(inst: StochasticInstance, policy: AdaptivePolicy,
-                    mode: str = "exact", samples: int = 10000,
-                    seed: int = 0) -> PolicyEvaluation:
-    """Expected cover times of a policy.
-
-    mode="exact" sums over every outcome path, weighted by probability
-    (same size caps as the oracle). mode="monte-carlo" replays `samples`
-    sampled outcome vectors and reports rational means plus the standard
-    error of the total.
-    """
-    m = inst.valuations.m
-    horizon = inst.total_length
-    if mode == "exact":
-        _check_adaptive_cap(inst, "exact policy evaluation")
-        per = [ZERO] * m
-
-        def walk(scheduled, realized, clock, prob, steps):
-            e = policy(scheduled, realized)
-            if e is None:
-                for i, c in enumerate(_cover_times(inst, steps)):
-                    per[i] += prob * c
-                return
-            clock += inst.lengths[e]
-            for b, p in inst.supports[e]:
-                walk(scheduled | (1 << e), realized | (1 << b), clock,
-                     prob * p, steps + [(e, b, clock)])
-
-        walk(0, 0, 0, ONE, [])
-        per_t = tuple(per)
-        return PolicyEvaluation(sum(per_t), per_t, horizon, None, None)
-    if mode != "monte-carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = random.Random(f"wssr-eval:{seed}")
-    per_sum = [0] * m
-    totals = []
-    for _ in range(samples):
-        ct = policy_cover_times(inst, policy, sample_outcome(inst, rng))
-        for i, c in enumerate(ct):
-            per_sum[i] += c
-        totals.append(sum(ct))
-    per_t = tuple(Fraction(s, samples) for s in per_sum)
-    mean = sum(totals) / samples
-    var = sum((t - mean) ** 2 for t in totals) / max(1, samples - 1)
-    return PolicyEvaluation(Fraction(sum(totals), samples), per_t, horizon,
-                            math.sqrt(var / samples), samples)
+def evaluate_policy(inst: StochasticInstance,
+                    policy: AdaptivePolicy) -> Fraction:
+    """Exact expected total cover time of a policy: _expected's root,
+    under the same size caps as optimal_adaptive."""
+    return _expected(inst, policy)(0, 0)[0]
 
 
 def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,

@@ -315,7 +315,7 @@ def test_c12_wssr_ratio():
     for seed in range(300):
         inst = random_instance("random-stochastic", 3 + seed % 2,
                                seed).stochastic
-        alg = evaluate_policy(inst, greedy_policy(inst)).total
+        alg = evaluate_policy(inst, greedy_policy(inst))
         _, opt = optimal_adaptive(inst)
         worst = max(worst, alg / (56 * inst.valuations.alpha * opt))
     report("C12", "wssr exact ratio <= 56*alpha on 300 instances", worst <= 1,

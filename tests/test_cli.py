@@ -152,6 +152,29 @@ def test_reduction_subcommands(capsys):
     assert row["ok"] == "pass"
 
 
+def test_reduction_bad_rationals_and_domain_are_bad_input(capsys):
+    # a zero denominator raised ZeroDivisionError, an exponent ran for
+    # minutes computing 10^99999999, and a --domain past the generators'
+    # cap went on to build a 2^domain-bit mask (MemoryError)
+    for argv, names in (
+            (["ssc", "--domain", "2", "--sets", "0", "--elements", "0:1/0",
+              "--lengths", "1"], "'1/0'"),
+            (["sgmssc", "--domain", "2", "--sets", "0", "--reqs", "1",
+              "--elements", "0:1/0", "--lengths", "1"], "'1/0'"),
+            (["filters", "--queries", "0", "--selectivities", "1/0",
+              "--lengths", "1"], "'1/0'"),
+            (["ssc", "--domain", "2", "--sets", "0", "--elements",
+              "0:1e-99999999", "--lengths", "1"], "'1e-99999999'"),
+            (["ssc", "--domain", "100000000000", "--sets", "0",
+              "--elements", "0:1", "--lengths", "1"], "--domain"),
+            (["sgmssc", "--domain", "100000000000", "--sets", "0",
+              "--reqs", "1", "--elements", "0:1", "--lengths", "1"],
+             "--domain")):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert names in err and "Traceback" not in err, argv
+
+
 def test_suite_records_sorted_with_summary(capsys):
     code, out = run_cli(capsys, "suite", "wssr-lemmas", "--seeds", "3",
                         "--samples", "100", "--jobs", "2")

@@ -253,7 +253,7 @@ def test_optimal_at_most_greedy():
         inst = random_instance("random-stochastic", 3 + seed % 2,
                                seed).stochastic
         _, opt = optimal_adaptive(inst)
-        alg = evaluate_policy(inst, greedy_policy(inst)).total
+        alg = evaluate_policy(inst, greedy_policy(inst))
         assert opt <= alg
 
 
@@ -382,28 +382,116 @@ def test_recurrence_verdict_matches_float_rule_across_threshold(
     assert verdicts == {True, False}
 
 
-def test_evaluate_exact_vs_monte_carlo():
+def walk_evaluate(inst, policy):
+    """Test-only reference for exact evaluate_policy: walks every outcome
+    leaf of the policy tree and sums the leaf's cover times, weighted by
+    its probability. A valuation the leaf never covers pays total_length.
+    """
+    functions, horizon = inst.valuations.functions, inst.total_length
+
+    def cover_time(f, steps):
+        mask = 0
+        for b, clock in steps:
+            mask |= 1 << b
+            if f.value(mask) == 1:
+                return clock
+        return horizon
+
+    def walk(scheduled, realized, clock, prob, steps):
+        e = policy(scheduled, realized)
+        if e is None:
+            return prob * sum(cover_time(f, steps) for f in functions)
+        clock += inst.lengths[e]
+        return sum(walk(scheduled | (1 << e), realized | (1 << b), clock,
+                        prob * p, steps + [(b, clock)])
+                   for b, p in inst.supports[e])
+
+    return walk(0, 0, 0, Fraction(1), [])
+
+
+def pinned_policies(inst, optimal):
+    """The greedy, the optimum, index order, and index order cut off after
+    two elements, which leaves valuations to the horizon charge."""
+
+    def in_order(scheduled, realized):
+        return next((e for e in range(inst.n) if not scheduled >> e & 1),
+                    None)
+
+    def stop_after_two(scheduled, realized):
+        if bin(scheduled).count("1") >= 2:
+            return None
+        return in_order(scheduled, realized)
+
+    return {"greedy": greedy_policy(inst),
+            "optimal": optimal,
+            "in_order": in_order, "stop_after_two": stop_after_two}
+
+
+def test_evaluate_policy_matches_per_leaf_walk(monkeypatch):
+    monkeypatch.setenv("LATCOV_CAP", "6")
+    horizon_charged = 0
+    for n in range(2, 7):
+        for seed in range(6):
+            inst = random_instance("random-stochastic", n, seed).stochastic
+            optimal, total = optimal_adaptive(inst)
+            walked = {}
+            for name, policy in pinned_policies(inst, optimal).items():
+                walked[name] = walk_evaluate(inst, policy)
+                assert evaluate_policy(inst, policy) == walked[name], \
+                    (n, seed, name)
+            horizon_charged += walked["stop_after_two"] > walked["in_order"]
+            # the optimum's total is the cheapest first element followed
+            # optimally, and its root choice the smallest index attaining it
+            firsts = [walk_evaluate(inst, lambda s, r, e=e:
+                                    e if s == 0 else optimal(s, r))
+                      for e in range(n)]
+            assert total == min(firsts) == walked["optimal"]
+            assert optimal(0, 0) == firsts.index(total)
+    assert horizon_charged
+
+
+def test_evaluate_exact_matches_optimal_cost():
     inst = random_instance("random-stochastic", 3, 42).stochastic
     policy, cost = optimal_adaptive(inst)
-    exact = evaluate_policy(inst, policy)
-    assert exact.total == cost and exact.stderr is None
-    assert sum(exact.per_function) == exact.total
-    mc = evaluate_policy(inst, policy, "monte-carlo", samples=100000, seed=7)
-    assert mc.samples == 100000
-    assert abs(float(mc.total) - float(cost)) <= 3 * mc.stderr
-    with pytest.raises(ValueError):
-        evaluate_policy(inst, policy, "typo")
+    assert evaluate_policy(inst, policy) == cost
 
 
-def test_evaluate_deterministic_instance_agrees_exactly():
-    vs = random_instance("random-groups", 4, 9).valuations
-    inst = identity_instance(vs)
-    policy, _ = optimal_adaptive(inst)
-    exact = evaluate_policy(inst, policy)
-    mc = evaluate_policy(inst, policy, "monte-carlo", samples=50, seed=0)
-    assert mc.total == exact.total
-    assert mc.per_function == exact.per_function
-    assert mc.stderr == 0
+def sampled_greedy_objective(inst, samples, seed):
+    """The wssr command's estimate past the exact cap: the mean alg_ag_sto
+    objective over outcomes from stream wssr-cli, and its standard error."""
+    rng = random.Random(f"wssr-cli:{seed}")
+    greedy = greedy_policy(inst)
+    objs = [alg_ag_sto(inst, sample_outcome(inst, rng), greedy).objective
+            for _ in range(samples)]
+    mean = Fraction(sum(objs), samples)
+    var = sum((o - mean) ** 2 for o in objs) / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+def fixed_reductions():
+    """The ssc, filters --latency and sgmssc instances of the benchmark's
+    stochastic workload."""
+    return [
+        reduce_ssc(4, [[0, 1], [2, 3]],
+                   [((0, HALF), (2, HALF)), ((1, Fraction(1)),),
+                    ((3, HALF), (0, HALF))], (1, 2, 1)),
+        reduce_filter([(0, 1), (1,)], [HALF, THIRD], (1, 2), latency=True),
+        reduce_sgmssc(3, [[0, 1], [2]], [1, 1],
+                      [((0, HALF), (1, HALF)), ((2, Fraction(1)),)], (2, 1)),
+    ]
+
+
+def test_sampled_greedy_agrees_with_exact_evaluation():
+    fixtures = [random_instance("random-stochastic", n, seed).stochastic
+                for n in (3, 4) for seed in range(4)] + fixed_reductions()
+    for seed, inst in enumerate(fixtures):
+        mean, se = sampled_greedy_objective(inst, 2000, seed)
+        exact = evaluate_policy(inst, greedy_policy(inst))
+        assert abs(float(mean - exact)) <= 3 * se, (seed, mean, exact, se)
+    # point masses: every sample is the one outcome
+    inst = identity_instance(random_instance("random-groups", 4, 9).valuations)
+    mean, se = sampled_greedy_objective(inst, 50, 0)
+    assert se == 0 and mean == evaluate_policy(inst, greedy_policy(inst))
 
 
 def test_reduce_ssc_soundness():
@@ -472,7 +560,7 @@ def test_ratio_suite_within_guarantee():
     for seed in range(300):
         inst = random_instance("random-stochastic", 3 + seed % 2,
                                seed).stochastic
-        alg = evaluate_policy(inst, greedy_policy(inst)).total
+        alg = evaluate_policy(inst, greedy_policy(inst))
         _, opt = optimal_adaptive(inst)
         assert alg <= 56 * inst.valuations.alpha * opt
 
@@ -481,7 +569,7 @@ def test_checkpoint_lemma_monte_carlo():
     inst = lemma_instance()
     policy, opt = optimal_adaptive(inst)
     assert opt == Fraction(1379, 24)
-    assert evaluate_policy(inst, greedy_policy(inst)).total == Fraction(231, 4)
+    assert evaluate_policy(inst, greedy_policy(inst)) == Fraction(231, 4)
     ok, rows = check_sto_recurrence(inst, policy, 4000, 0)
     assert ok
     # measured mean |R_1| ~ 1.50: the decay step is not vacuous here
