@@ -17,10 +17,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import sha256
@@ -55,7 +56,7 @@ GEN_KINDS = {"groups": "random-groups", "uniform": "uniform-metric",
              "stochastic": "random-stochastic"}
 
 
-# flags that pick a destination, wire format, or thread count; they never
+# flags that pick a destination, wire format, or process count; they never
 # influence what is computed, so they stay out of the config identity
 PRESENTATION_KEYS = ("command", "func", "out", "format", "jobs")
 
@@ -389,11 +390,12 @@ def cmd_sgmssc(args, cfg: RunConfig):
 
 
 # ---- suite batteries --------------------------------------------------------
-# Each battery function maps one seed to (record fields, hard-failure flag).
+# Each battery function maps one seed and the Monte-Carlo probe size
+# (--samples) to (record fields, hard-failure flag).
 # Hard failures are proved violations; Monte-Carlo probes within their slack
 # only report margins.
 
-def _suite_ranking(seed: int, args) -> tuple[dict, bool]:
+def _suite_ranking(seed: int, samples: int) -> tuple[dict, bool]:
     style = "explicit" if seed % 2 == 0 else "singlegroup"
     vs = random_valuations(style, 4 + seed % 3, seed)
     order, trace = alg_ag(vs)
@@ -422,7 +424,7 @@ def _suite_ranking(seed: int, args) -> tuple[dict, bool]:
     return fields, not ok
 
 
-def _suite_mlsc(seed: int, args) -> tuple[dict, bool]:
+def _suite_mlsc(seed: int, samples: int) -> tuple[dict, bool]:
     inst = random_instance("uniform-metric", 4 + seed % 2, seed)
     tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
     opt = brute_force_latency(inst.metric, inst.valuations)
@@ -438,7 +440,7 @@ def _suite_mlsc(seed: int, args) -> tuple[dict, bool]:
     return fields, not ok
 
 
-def _suite_lcst(seed: int, args) -> tuple[dict, bool]:
+def _suite_lcst(seed: int, samples: int) -> tuple[dict, bool]:
     inst = random_instance("random-tree", 5 + seed % 3, seed)
     sol = solve_lp_lcst(inst.tree)
     tour, report = alg_lcst(inst.tree, seed, lp=sol)
@@ -457,13 +459,13 @@ def _suite_lcst(seed: int, args) -> tuple[dict, bool]:
     return fields, not lb_ok
 
 
-def _suite_wssr(seed: int, args) -> tuple[dict, bool]:
+def _suite_wssr(seed: int, samples: int) -> tuple[dict, bool]:
     st = random_instance("random-stochastic", 3 + seed % 2, seed).stochastic
     opt_policy, opt_cost = optimal_adaptive(st)
     greedy = greedy_policy(st)
     alg_cost = evaluate_policy(st, greedy)
     ratio_ok = alg_cost <= 56 * st.valuations.alpha * opt_cost
-    rec_ok, rows = check_sto_recurrence(st, opt_policy, samples=args.samples,
+    rec_ok, rows = check_sto_recurrence(st, opt_policy, samples=samples,
                                         seed=seed, greedy=greedy)
     # slack left per level: prev/4 + R*_j + 3 se - R_j, negative = violation;
     # fully settled all-zero levels carry no information
@@ -483,21 +485,97 @@ SUITE_FNS = {"ranking-lemmas": _suite_ranking, "mlsc-lemmas": _suite_mlsc,
              "lcst-probes": _suite_lcst, "wssr-lemmas": _suite_wssr}
 
 
+def suite_workers(jobs: int, seeds: int) -> int:
+    """Processes a suite runs on, the calling one included: --jobs capped
+    by the seed count and the CPU count.  1 where fork is unavailable, or
+    unsafe because the calling process runs other threads."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(jobs, seeds, os.cpu_count() or 1)
+
+
+def _suite_share(name: str, seeds: range, samples: int) -> list:
+    """One worker's share of a battery: its outputs for `seeds`, in order."""
+    fn = SUITE_FNS[name]
+    return [fn(seed, samples) for seed in seeds]
+
+
+def _suite_child(conn, names, seeds: range, samples: int) -> None:
+    """A forked child's work: its share of every battery, or the exception
+    that stopped it, sent back on `conn`."""
+    try:
+        result = [_suite_share(name, seeds, samples) for name in names]
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+
+
+def _suite_outputs(names, seeds: int, samples: int, workers: int) -> list:
+    """Each battery's per-seed outputs, in the order of `names`; seed s is
+    computed by share s mod workers.
+
+    Share 0 runs in the calling process while workers - 1 forked children,
+    shared by all batteries, run the others.  Batteries are pure functions
+    of (battery, seed, samples), so where a seed runs never shows in its
+    output.  A child's exception is raised here, and a child that dies
+    without an answer raises ChildProcessError.  Every child is joined
+    before returning, on every path.
+    """
+    shares = [range(k, seeds, workers) for k in range(workers)]
+    children = []
+    try:
+        if workers > 1:
+            import multiprocessing
+            ctx = multiprocessing.get_context("fork")
+            for share in shares[1:]:
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_suite_child,
+                                    args=(send, names, share, samples))
+                child.start()
+                send.close()
+                children.append((child, recv))
+        parts = [[_suite_share(name, shares[0], samples) for name in names]]
+        for k, (child, recv) in enumerate(children, 1):
+            try:
+                part = recv.recv()
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"suite worker for share {k} of {workers} exited with "
+                    f"code {child.exitcode} before answering") from None
+            if isinstance(part, BaseException):
+                raise part
+            parts.append(part)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    outs = [[None] * seeds for _ in names]
+    for k, part in enumerate(parts):
+        for out, share_out in zip(outs, part):
+            out[k::workers] = share_out
+    return outs
+
+
 def cmd_suite(args, cfg: RunConfig):
     if args.seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {args.seeds}")
     names = SUITE_NAMES if args.name == "lemmas" else (args.name,)
+    outputs = _suite_outputs(names, args.seeds, args.samples,
+                             suite_workers(args.jobs, args.seeds))
     digest = cfg.digest()
     records, code = [], 0
-    for name in names:
-        fn = SUITE_FNS[name]
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            outs = list(pool.map(lambda s: fn(s, args), range(args.seeds)))
-        rows = [ResultRecord(f"suite:{name}", digest, seed=str(s), **fields)
-                for s, (fields, _) in enumerate(outs)]
-        rows.sort(key=lambda rec: int(rec.seed))
+    for name, outs in zip(names, outputs):
+        records.extend(ResultRecord(f"suite:{name}", digest, seed=str(s),
+                                    **fields)
+                       for s, (fields, _) in enumerate(outs))
         hard = sum(1 for _, h in outs if h)
-        records.extend(rows)
         records.append(ResultRecord(
             f"suite:{name}", digest, ok="pass" if hard == 0 else "fail",
             detail=_detail({"failures": hard, "seeds": args.seeds})))
@@ -533,7 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="default seed for sampling and rounding")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker cap for suite fan-out")
+                        help="process count for suite fan-out, the calling "
+                             "process included; capped by --seeds and the "
+                             "CPU count")
     common.add_argument("--out", help="write records here instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -1,15 +1,20 @@
 """End-to-end checks of the command-line front end.
 
 Determinism is the load-bearing contract here: identical argument vectors
-must produce identical bytes. Everything runs through cli.main in-process so
-exit codes and stdout are observable without subprocesses.
+must produce identical bytes. Everything but the import guard runs through
+cli.main in-process so exit codes and stdout are observable without
+subprocesses.
 """
 
 import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -21,6 +26,7 @@ from latcov.instances.generators import random_valuations
 from latcov.ranking import alg_ag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 # [exit code, stdout sha256] of larger exact LCST runs, recorded before the
 # sparse simplex replaced the dense tableau
 with open(os.path.join(os.path.dirname(__file__), "data",
@@ -32,6 +38,13 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports latcov from SRC."""
+    return subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60)
 
 
 def rows_of(text):
@@ -198,13 +211,134 @@ def test_suite_lemmas_runs_every_battery(capsys):
     assert all(r["ok"] == "pass" for r in summaries)
 
 
-def test_suite_jobs_do_not_change_bytes(capsys):
-    _, one = run_cli(capsys, "suite", "mlsc-lemmas", "--seeds", "4",
-                     "--samples", "100", "--jobs", "1")
-    _, four = run_cli(capsys, "suite", "mlsc-lemmas", "--seeds", "4",
-                      "--samples", "100", "--jobs", "4")
+@pytest.mark.parametrize("name", cli.SUITE_NAMES + ("lemmas",))
+def test_suite_jobs_do_not_change_bytes(name, capsys, monkeypatch):
+    # three CPUs, so --jobs 3 deals seeds 0..6 into uneven shares even on a
+    # smaller host
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    outs = [run_cli(capsys, "suite", name, "--seeds", "7", "--samples",
+                    "100", "--jobs", jobs) for jobs in ("1", "2", "3")]
     # --jobs is scheduling, not identity: the bytes must match exactly
-    assert one == four
+    assert outs[0][0] == 0
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_workers_cap_by_seeds_and_cpus(monkeypatch, capsys):
+    # computed, never started: no test forks a million processes
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli.suite_workers(10**6, 5) == 5
+    assert cli.suite_workers(3, 5) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.suite_workers(10**6, 10**6) == 2
+    assert cli.suite_workers(1, 10**6) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.suite_workers(10**6, 10**6) == 1
+    # fork copies only the forking thread, so another thread's held locks
+    # would stay held in the child: no fan-out while one runs
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert cli.suite_workers(4, 4) == 1
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert cli.suite_workers(4, 4) == 4
+    # a huge --jobs runs on min(seeds, cpus) processes, the calling one
+    # included, with the same bytes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    fork_process = multiprocessing.get_context("fork").Process
+    start = fork_process.start
+    monkeypatch.setattr(fork_process, "start",
+                        lambda self: (started.append(self), start(self)))
+    one = run_cli(capsys, "suite", "ranking-lemmas", "--seeds", "3",
+                  "--jobs", "1")
+    assert started == []
+    huge = run_cli(capsys, "suite", "ranking-lemmas", "--seeds", "3",
+                   "--jobs", str(10**6))
+    assert huge == one and one[0] == 0
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_nonpositive_suite_jobs_is_bad_input(capsys):
+    for jobs in ("0", "-4"):
+        argv = ["suite", "ranking-lemmas", "--seeds", "2", "--jobs", jobs]
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "--jobs" in captured.err, argv
+        assert "Traceback" not in captured.err, argv
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="suites fan out only through fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("bad_seed", [0, 1])
+def test_suite_share_failure_joins_every_child(bad_seed, capsys,
+                                               monkeypatch):
+    # two shares: even seeds run in the calling process, odd seeds in a
+    # child, which inherits the patched battery through the fork
+    def battery(seed, samples):
+        if seed == bad_seed:
+            raise ValueError(f"battery broke at seed {seed} in pid "
+                             f"{os.getpid()}")
+        if bad_seed == 0 and seed % 2:
+            time.sleep(60)      # the caller's failure must not wait for it
+        return {"ok": "pass"}, False
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(cli.SUITE_FNS, "ranking-lemmas", battery)
+    start = time.perf_counter()
+    assert cli.main(["suite", "ranking-lemmas", "--seeds", "4",
+                     "--jobs", "2"]) == 2
+    assert time.perf_counter() - start < 30
+    err = capsys.readouterr().err
+    assert f"battery broke at seed {bad_seed} in pid" in err
+    assert "Traceback" not in err
+    caller = f"in pid {os.getpid()}\n" in err
+    assert caller == (bad_seed == 0)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_suite_child_killed_by_signal_is_an_error():
+    # a child that dies without answering (here SIGKILL, as from the OOM
+    # killer) must end the suite with exit 2, not leave it waiting; run in
+    # a subprocess so a regression times out instead of hanging the tests
+    proc = run_python(
+        "import multiprocessing, os, signal\n"
+        "from latcov import cli\n"
+        "def battery(seed, samples):\n"
+        "    if seed == 1:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return {'ok': 'pass'}, False\n"
+        "cli.SUITE_FNS['ranking-lemmas'] = battery\n"
+        "os.cpu_count = lambda: 2\n"
+        "code = cli.main(['suite', 'ranking-lemmas', '--seeds', '4',\n"
+        "                 '--jobs', '2'])\n"
+        "print(code, multiprocessing.active_children())\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "[]"]
+    assert "exited with code -9" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_loads_no_pool_modules():
+    # the pool modules cost CLI start-up time; the suite imports them only
+    # when it fans out
+    proc = run_python("import sys; before = set(sys.modules); "
+                      "import latcov.cli; "
+                      "print(sorted({'concurrent.futures', 'multiprocessing'}"
+                      " & (set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exit_codes():
