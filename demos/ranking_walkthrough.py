@@ -17,7 +17,7 @@ LINE = "-" * 72
 
 def show(style: str, n: int, seed: int) -> None:
     vs = random_valuations(style, n, seed)
-    order, trace = alg_ag(vs)
+    order = alg_ag(vs)
     opt = brute_force_ranking(vs)
     alpha = vs.alpha
     print(LINE)
@@ -32,7 +32,7 @@ def show(style: str, n: int, seed: int) -> None:
     print(f"  ratio          {ratio} <= 56*alpha = {float(cap):.3f}"
           f"  ({float(ratio / cap):.4f} of the cap)")
 
-    ok, rows = check_recurrence(trace, opt, alpha)
+    ok, rows = check_recurrence(order, opt, alpha)
     base = checkpoint_base(alpha)
     print(f"  checkpoints at {base}*2^j: "
           + ", ".join(str(base * 2 ** j) for j, *_ in rows))

@@ -196,13 +196,13 @@ def cmd_gen(args, cfg: RunConfig):
 def cmd_rank(args, cfg: RunConfig):
     inst = _resolve_instance(args, {"ranking"}, "rank")
     vs = inst.valuations
-    order, trace = alg_ag(vs)
+    order = alg_ag(vs)
     fields = {"objective": _rat(order.objective),
               "detail": _detail({"kind": vs.kind, "n": vs.n, "m": vs.m,
                                  "order": _join(order.permutation)})}
     if args.oracle:
         opt = brute_force_ranking(vs)
-        ok, rows = check_recurrence(trace, opt, vs.alpha)
+        ok, rows = check_recurrence(order, opt, vs.alpha)
         fields.update(_versus(order.objective, opt.objective),
                       checkpoints=_fmt_rows(rows),
                       ok="pass" if ok else "fail")
@@ -250,7 +250,7 @@ def cmd_mlsc(args, cfg: RunConfig):
     code = 0
     if args.oracle:
         opt = brute_force_latency(metric, vs)
-        ok, rows = check_mlsc_recurrence(log, opt)
+        ok, rows = check_mlsc_recurrence(tour, log, opt)
         fields.update(_versus(tour.objective, opt.objective),
                       checkpoints=_fmt_rows(rows),
                       ok="pass" if ok else "fail")
@@ -274,6 +274,9 @@ def _tree_from_metric(inst: Instance, embed_seed: int):
 
 
 def cmd_lcst(args, cfg: RunConfig):
+    if not 0 <= args.repeat_mult <= size_cap(GEN_CAP):
+        raise ValueError(f"--repeat-mult must be in 0..{size_cap(GEN_CAP)}, "
+                         f"got {args.repeat_mult}")
     inst = _resolve_instance(args, {"lcst", "mlsc"}, "lcst")
     embed_seed = args.embed_seed if args.embed_seed is not None else args.seed
     round_seed = args.round_seed if args.round_seed is not None else args.seed
@@ -398,9 +401,9 @@ def cmd_sgmssc(args, cfg: RunConfig):
 def _suite_ranking(seed: int, samples: int) -> tuple[dict, bool]:
     style = "explicit" if seed % 2 == 0 else "singlegroup"
     vs = random_valuations(style, 4 + seed % 3, seed)
-    order, trace = alg_ag(vs)
+    order = alg_ag(vs)
     opt = brute_force_ranking(vs)
-    rec_ok, rows = check_recurrence(trace, opt, vs.alpha)
+    rec_ok, rows = check_recurrence(order, opt, vs.alpha)
     ratio_ok = order.objective <= 56 * vs.alpha * opt.objective
 
     # nested random chains against alpha, the rational upper bound on
@@ -428,7 +431,7 @@ def _suite_mlsc(seed: int, samples: int) -> tuple[dict, bool]:
     inst = random_instance("uniform-metric", 4 + seed % 2, seed)
     tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
     opt = brute_force_latency(inst.metric, inst.valuations)
-    rec_ok, rows = check_mlsc_recurrence(log, opt)
+    rec_ok, rows = check_mlsc_recurrence(tour, log, opt)
     alpha = inst.valuations.alpha
     ratio_ok = tour.objective <= 56 * alpha * opt.objective
     ok = rec_ok and ratio_ok
@@ -444,8 +447,7 @@ def _suite_lcst(seed: int, samples: int) -> tuple[dict, bool]:
     inst = random_instance("random-tree", 5 + seed % 3, seed)
     sol = solve_lp_lcst(inst.tree)
     tour, report = alg_lcst(inst.tree, seed, lp=sol)
-    slack = 0 if sol.exact else Fraction(1, 10**6)
-    lb_ok = Fraction(sol.objective) <= tour.objective + slack
+    lb_ok = sol.objective <= tour.objective
     # margin probe: accepted-phase weight against the level cap
     worst = 0.0
     for ph in report.phases:
@@ -610,10 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="default seed for sampling and rounding")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="process count for suite fan-out, the calling "
-                             "process included; capped by --seeds and the "
-                             "CPU count")
     common.add_argument("--out", help="write records here instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -702,6 +700,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--samples", type=int, default=400,
                    help="Monte-Carlo probe size")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="process count, the calling process included; "
+                        "capped by --seeds and the CPU count")
 
     return parser
 

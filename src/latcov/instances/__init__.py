@@ -6,7 +6,7 @@ from .metrics import (GridPoints, Metric, metric_closure, metric_from_matrix,
                       uniform_metric)
 from .serial import dump, dumps, load, loads
 from .stoch import StochasticInstance
-from .trees import GroupedTree, cover_times, normalize
+from .trees import GroupedTree, normalize
 from .valuations import (CoverFunction, CoverTerm, ExplicitFunction,
                          ValuationSet, alpha_from_epsilon, check_submodular,
                          compute_epsilon, min_nonzero_marginal, uniform_term)
@@ -17,7 +17,7 @@ __all__ = [
     "uniform_metric",
     "dump", "dumps", "load", "loads",
     "StochasticInstance",
-    "GroupedTree", "cover_times", "normalize",
+    "GroupedTree", "normalize",
     "CoverFunction", "CoverTerm", "ExplicitFunction", "ValuationSet",
     "alpha_from_epsilon", "check_submodular", "compute_epsilon",
     "min_nonzero_marginal", "uniform_term",

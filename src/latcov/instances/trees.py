@@ -243,34 +243,3 @@ def normalize(parent: Sequence[Optional[int]], weight: Sequence[int], root: int,
     new_groups = [[remap[v] for v in g] for g in groups]
     return GroupedTree(new_parent, new_weight, remap[root], new_groups, reqs)
 
-
-def cover_times(tree: GroupedTree, walk: Sequence[int]) -> tuple[list[Optional[int]], int]:
-    """Per-group cover times along a walk plus the summed objective.
-
-    The cover time of a group is the walk-prefix distance at which its
-    k-th distinct member is first visited; None if the walk never covers
-    it (such groups contribute nothing to the sum and the caller decides
-    how to account for them).
-    """
-    dist = tree.distances()
-    need = {gi: tree.reqs[gi] for gi in range(len(tree.groups))}
-    member_of: dict[int, int] = {}
-    for gi, g in enumerate(tree.groups):
-        for v in g:
-            member_of[v] = gi
-    times: list[Optional[int]] = [None] * len(tree.groups)
-    seen: set[int] = set()
-    t = 0
-    prev = walk[0] if walk else tree.root
-    for i, v in enumerate(walk):
-        if i > 0:
-            t += dist[prev][v]
-        prev = v
-        if v in member_of and v not in seen:
-            seen.add(v)
-            gi = member_of[v]
-            need[gi] -= 1
-            if need[gi] == 0 and times[gi] is None:
-                times[gi] = t
-    objective = sum(x for x in times if x is not None)
-    return times, objective

@@ -19,7 +19,7 @@ from .errors import CapExceeded, Uncoverable, size_cap
 from .instances.metrics import Metric
 from .instances.valuations import ResidualFunction, ValuationSet
 from .orienteering import SopQuery, SopResult
-from .ranking import check_decay
+from .ranking import check_decay, uncovered_at
 
 LATENCY_CAP = 7
 
@@ -70,7 +70,6 @@ class PhaseLog:
     sigma: int
     augmentations: int
     phases: tuple[PhaseRecord, ...]
-    checkpoints: tuple[tuple[int, int, int], ...]  # (j, t_j, |R(t_j)|)
 
 
 def augmentation_count(alpha: Fraction, rho: int) -> int:
@@ -87,11 +86,6 @@ def mlsc_checkpoint_base(alpha: Fraction, rho: int, sigma: int) -> int:
     geometric series gives < 4 * H * sigma * 2^j.
     """
     return 4 * augmentation_count(alpha, rho) * sigma
-
-
-def uncovered_after(cover_times: Sequence[int], t) -> tuple[int, ...]:
-    """R(t): indices still uncovered strictly after prefix distance t."""
-    return tuple(i for i, c in enumerate(cover_times) if c > t)
 
 
 def alg_mlsc(metric: Metric, vs: ValuationSet,
@@ -145,18 +139,7 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
         if budget < cap:
             budget *= 2
     tour = LatencyTour.from_walk(metric, vs, walk)
-    base = mlsc_checkpoint_base(vs.alpha, rho, sigma)
-    total = tour.prefix[-1]
-    checkpoints: list[tuple[int, int, int]] = []
-    j = 0
-    while True:
-        t_j = base * (1 << j)
-        checkpoints.append((j, t_j, len(uncovered_after(tour.cover_times, t_j))))
-        if t_j >= total:
-            break
-        j += 1
-    log = PhaseLog(vs.alpha, rho, sigma, h, tuple(phases), tuple(checkpoints))
-    return tour, log
+    return tour, PhaseLog(vs.alpha, rho, sigma, h, tuple(phases))
 
 
 def brute_force_latency(metric: Metric, vs: ValuationSet) -> LatencyTour:
@@ -182,23 +165,22 @@ def brute_force_latency(metric: Metric, vs: ValuationSet) -> LatencyTour:
     return best
 
 
-def check_mlsc_recurrence(log: PhaseLog, opt: LatencyTour,
+def check_mlsc_recurrence(tour: LatencyTour, log: PhaseLog, opt: LatencyTour,
                           ) -> tuple[bool, list[tuple[int, int, int, int]]]:
     """Quarter-decay check |R_j| <= |R_{j-1}|/4 + |R*_j| over all j >= 0.
 
-    R_j comes from the log's checkpoint counts (uncovered strictly after
-    4 * ceil(4 alpha rho) * sigma * 2^j); R*_j counts valuations the optimal
-    tour covers strictly after distance 2^j. check_decay runs one run on unit
-    base, reading level j's logged count at time 2^j, so its verdict is
-    exactly 4 |R_j| <= |R_{j-1}| + 4 |R*_j|, and horizon 0 stops the scan at
-    the first level where both counts are zero. Returns (ok, rows of
+    R_j counts valuations the tour covers strictly after distance
+    4 * ceil(4 alpha rho) * sigma * 2^j, R*_j those the optimal tour covers
+    strictly after 2^j; with int cover times, "strictly after t" is
+    "at t + 1 or later". One run, so check_decay's verdict is exactly
+    4 |R_j| <= |R_{j-1}| + 4 |R*_j|, and horizon 0 stops the scan at the
+    first level where both counts are zero. Returns (ok, rows of
     (j, |R_j|, |R_{j-1}|, |R*_j|)).
     """
-    by_level = {1 << j: c for j, _, c in log.checkpoints}
+    def counts(t: int, t_star: int) -> list[tuple[int, int]]:
+        return [(uncovered_at(tour.cover_times, t + 1),
+                 uncovered_at(opt.cover_times, t_star + 1))]
 
-    def counts(level: int, t_star: int) -> list[tuple[int, int]]:
-        return [(by_level.get(level, 0),
-                 len(uncovered_after(opt.cover_times, t_star)))]
-
-    ok, rows = check_decay(counts, 1)
+    ok, rows = check_decay(counts,
+                           mlsc_checkpoint_base(log.alpha, log.rho, log.sigma))
     return ok, [row[:4] for row in rows]

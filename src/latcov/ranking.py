@@ -31,40 +31,24 @@ class Ordering:
     objective: int
 
 
-@dataclass(frozen=True)
-class RankingTrace:
-    """Per step t (1-based): uncovered valuation indices before the step and
-    the residual score of the chosen element."""
-
-    uncovered: tuple[tuple[int, ...], ...]
-    chosen_scores: tuple[Fraction, ...]
-
-
-def alg_ag(vs: ValuationSet) -> tuple[Ordering, RankingTrace]:
+def alg_ag(vs: ValuationSet) -> Ordering:
     """Greedy ranking: each step schedules the unscheduled element e of
     largest ResidualFunction(vs, S).value(1 << e), compared as its num;
     ties go to the smallest element index. Once everything is covered
-    every score is 0, so the rest follow in index order with zero scores."""
+    every score is 0, so the rest follow in index order."""
     n = vs.n
     perm: list[int] = []
     mask = 0
-    score_log: list[Fraction] = []
     for _ in range(n):
         residual = ResidualFunction(vs, mask)
         if not residual.uncovered:
-            rest = [e for e in range(n) if not mask & (1 << e)]
-            perm.extend(rest)
-            score_log.extend([ZERO] * len(rest))
+            perm.extend(e for e in range(n) if not mask & (1 << e))
             break
         e = max((e for e in range(n) if not mask & (1 << e)),
                 key=lambda e: residual.num(1 << e))
         perm.append(e)
-        score_log.append(residual.value(1 << e))
         mask |= 1 << e
-    order = _ordering(vs, perm)
-    uncovered_log = tuple(uncovered_at(order.cover_times, t)
-                          for t in range(1, n + 1))
-    return order, RankingTrace(uncovered_log, tuple(score_log))
+    return _ordering(vs, perm)
 
 
 def _uncovered_counts(vs: ValuationSet) -> list[int]:
@@ -153,9 +137,9 @@ def checkpoint_base(alpha: Fraction) -> int:
     return math.ceil(alpha * 8)
 
 
-def uncovered_at(cover_times: Sequence[int], t) -> tuple[int, ...]:
-    """R(t): indices covered no earlier than t (cov >= t)."""
-    return tuple(i for i, c in enumerate(cover_times) if c >= t)
+def uncovered_at(cover_times: Sequence[int], t) -> int:
+    """|R(t)|: the number of valuations covered no earlier than t."""
+    return sum(1 for c in cover_times if c >= t)
 
 
 def check_decay(counts: Callable[[int, int], Sequence[tuple[int, int]]],
@@ -192,22 +176,20 @@ def check_decay(counts: Callable[[int, int], Sequence[tuple[int, int]]],
         sp = sr
 
 
-def check_recurrence(trace: RankingTrace, opt: Ordering, alpha: Fraction
+def check_recurrence(order: Ordering, opt: Ordering, alpha: Fraction
                      ) -> tuple[bool, list[tuple[int, int, int, int]]]:
     """Quarter-decay recurrence |R_j| <= |R_{j-1}|/4 + |R*_j| for all j >= 0.
 
-    R_j counts valuations the greedy covers at index >= ceil(8 alpha) * 2^j
-    (read off the trace's uncovered sets), R*_j those the optimum covers at
-    index >= 2^j. One run, so check_decay's verdict is exactly that; no
-    cover index exceeds the horizon max(n, max opt cover time), so the scan
+    R_j counts valuations the greedy covers at index >= ceil(8 alpha) * 2^j,
+    R*_j those the optimum covers at index >= 2^j, both read off cover
+    times. One run, so check_decay's verdict is exactly that; no cover
+    index exceeds the horizon max(n, max opt cover time), so the scan
     stops at the first level past it. Rows are (j, |R_j|, |R_{j-1}|, |R*_j|).
     """
-    n = len(trace.uncovered)
-
     def counts(t: int, t_star: int) -> list[tuple[int, int]]:
-        return [(len(trace.uncovered[t - 1]) if t <= n else 0,
-                 len(uncovered_at(opt.cover_times, t_star)))]
+        return [(uncovered_at(order.cover_times, t),
+                 uncovered_at(opt.cover_times, t_star))]
 
     ok, rows = check_decay(counts, checkpoint_base(alpha),
-                           max(n, max(opt.cover_times)))
+                           max(len(order.permutation), max(opt.cover_times)))
     return ok, [row[:4] for row in rows]

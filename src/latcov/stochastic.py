@@ -45,11 +45,9 @@ AdaptivePolicy = Callable[[int, int], Optional[int]]
 
 @dataclass(frozen=True)
 class RealizedSchedule:
-    """One complete run: elements in order, their draws, and cover times."""
+    """One complete run: elements in order and cover times."""
 
     order: tuple[int, ...]        # elements in scheduling order
-    realized: tuple[int, ...]     # domain point each one drew, aligned
-    finish: tuple[int, ...]       # clock time each element completed
     cover_times: tuple[int, ...]  # per valuation; horizon if never covered
     objective: int
 
@@ -134,8 +132,7 @@ def alg_ag_sto(inst: StochasticInstance, outcome: Sequence[int],
         greedy = greedy_policy(inst)
     steps = list(_replay(inst, greedy, outcome))
     times = _cover_times(inst, steps)
-    columns = [tuple(col) for col in zip(*steps)] or [(), (), ()]
-    return RealizedSchedule(*columns, times, sum(times))
+    return RealizedSchedule(tuple(e for e, _, _ in steps), times, sum(times))
 
 
 def _check_adaptive_cap(inst: StochasticInstance):
@@ -268,7 +265,7 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
              policy_cover_times(inst, policy, w)) for w in outcomes]
 
     def counts(t: int, t_star: int) -> list[tuple[int, int]]:
-        return [(len(uncovered_at(ct, t)), len(uncovered_at(ct_star, t_star)))
+        return [(uncovered_at(ct, t), uncovered_at(ct_star, t_star))
                 for ct, ct_star in runs]
 
     ok, sums = check_decay(counts, checkpoint_base(inst.valuations.alpha),

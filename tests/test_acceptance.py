@@ -47,7 +47,7 @@ def test_c01_ranking_ratio():
     for seed in range(300):
         style = "explicit" if seed % 2 == 0 else "singlegroup"
         vs = random_valuations(style, 4 + seed % 4, seed)
-        order, _ = alg_ag(vs)
+        order = alg_ag(vs)
         opt = brute_force_ranking(vs)
         norm = Fraction(order.objective, opt.objective) / (56 * vs.alpha)
         worst = max(worst, norm)
@@ -60,9 +60,9 @@ def test_c02_ranking_recurrence():
     failures = 0
     for seed in range(200):
         vs = random_instance("random-groups", 4 + seed % 4, seed).valuations
-        order, trace = alg_ag(vs)
+        order = alg_ag(vs)
         opt = brute_force_ranking(vs)
-        ok, _ = check_recurrence(trace, opt, vs.alpha)
+        ok, _ = check_recurrence(order, opt, vs.alpha)
         failures += not ok
     report("C02", "recurrence holds on 200/200 seeds", failures == 0,
            f"failures = {failures}")
@@ -141,7 +141,7 @@ def test_c05_mlsc_ratio_and_recurrence():
         inst = random_instance(kind, 4 + seed % 3, seed)
         tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
         opt = brute_force_latency(inst.metric, inst.valuations)
-        ok, _ = check_mlsc_recurrence(log, opt)
+        ok, _ = check_mlsc_recurrence(tour, log, opt)
         rec_failures += not ok
         if opt.objective > 0:
             norm = Fraction(tour.objective, opt.objective) \
@@ -299,7 +299,7 @@ def test_c11_wssr_degenerate():
     for seed in range(100):
         vs = random_instance("random-groups", 3 + seed % 4, seed).valuations
         inst = identity_instance(vs)
-        order, _ = alg_ag(vs)
+        order = alg_ag(vs)
         run = alg_ag_sto(inst, tuple(range(vs.n)))
         ok = (run.order == order.permutation[:len(run.order)]
               and run.cover_times == order.cover_times

@@ -20,9 +20,9 @@ import time
 import pytest
 
 from latcov import cli
-from latcov.errors import Infeasible
+from latcov.errors import Infeasible, size_cap
 from latcov.instances import serial
-from latcov.instances.generators import random_valuations
+from latcov.instances.generators import GEN_CAP, random_valuations
 from latcov.ranking import alg_ag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -65,7 +65,7 @@ def test_rank_oracle_record(capsys):
     assert row["ratio_den"] == row["oracle"] != ""
     assert row["checkpoints"].count(";") >= 1
     # objective matches a direct library call
-    order, _ = alg_ag(random_valuations("explicit", 6, 1))
+    order = alg_ag(random_valuations("explicit", 6, 1))
     assert row["objective"] == str(order.objective)
 
 
@@ -275,6 +275,25 @@ def test_nonpositive_suite_jobs_is_bad_input(capsys):
         assert "Traceback" not in captured.err, argv
 
 
+def test_repeat_mult_out_of_range_is_bad_input(capsys):
+    star = os.path.join(FIXTURES, "star.lcov")
+    for mult in (str(10**9), "-1"):
+        start = time.perf_counter()
+        assert cli.main(["lcst", "--tree", star, "--repeat-mult", mult]) == 2
+        assert time.perf_counter() - start < 5, mult
+        captured = capsys.readouterr()
+        assert captured.out == "", mult
+        assert "--repeat-mult" in captured.err, mult
+        assert "Traceback" not in captured.err, mult
+    # the default is 6, and the cap itself is accepted
+    default = run_cli(capsys, "lcst", "--tree", star)
+    assert default == run_cli(capsys, "lcst", "--tree", star,
+                              "--repeat-mult", "6")
+    assert default[0] == 0
+    assert run_cli(capsys, "lcst", "--tree", star, "--repeat-mult",
+                   str(size_cap(GEN_CAP)))[0] == 0
+
+
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="suites fan out only through fork")
 
@@ -348,8 +367,12 @@ def test_exit_codes():
     # over the adaptive caps: surfaces as an invariant violation
     assert cli.main(["wssr", "--gen", "stochastic:n=6:seed=1",
                      "--oracle"]) == 2
-    with pytest.raises(SystemExit):
-        cli.main(["not-a-subcommand"])
+    # argparse refusals; --jobs is a suite flag only
+    for argv in (["not-a-subcommand"],
+                 ["rank", "--gen", "explicit:n=4:seed=1", "--jobs", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_zero_denominator_in_file_is_bad_input(tmp_path, capsys):
@@ -517,5 +540,8 @@ def test_config_hash_tracks_options():
     assert a == c
     d = cli.RunConfig.from_args(parser.parse_args(
         ["rank", "--gen", "explicit:n=4:seed=1", "--out", "x.csv",
-         "--format", "json", "--jobs", "3"]))
+         "--format", "json"]))
     assert a.digest() == d.digest()
+    one, three = (cli.RunConfig.from_args(parser.parse_args(
+        ["suite", "ranking-lemmas", "--jobs", jobs])) for jobs in ("1", "3"))
+    assert one.digest() == three.digest()

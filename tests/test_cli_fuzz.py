@@ -83,3 +83,33 @@ def test_loads_accepts_or_raises_value_error(which, edits):
         loads(text)
     except ValueError:
         pass
+
+
+# every genspec kind, with the commands that accept its instance kind
+GEN_COMMANDS = {
+    **{style: ("rank",) for style in ("explicit", "gmssc", "coverage",
+                                      "multicoverage", "groups")},
+    "uniform": ("sop", "mlsc", "lcst"), "grid": ("sop", "mlsc", "lcst"),
+    "tree": ("lcst",), "stochastic": ("wssr",),
+}
+# negative, small, past the generators' cap, and non-integer tokens
+TOKENS = ("-7", "-1", "0", "1", "2", "3", "4", "6", "257", str(10**9),
+          str(10**30), "", "x", "3.5", "1e3", "0x10")
+# a key's option: absent, one value, or the key given twice
+OPTION = st.one_of(st.none(), st.sampled_from(TOKENS).map(lambda t: [t]),
+                   st.lists(st.sampled_from(TOKENS), min_size=2, max_size=2))
+
+
+@settings(derandomize=True, max_examples=150, deadline=30_000)
+@given(kind=st.sampled_from(sorted(GEN_COMMANDS)), n=OPTION, seed=OPTION)
+def test_every_generator_kind_keeps_exit_contract(kind, n, seed):
+    parts = [kind] + [f"{key}={tok}" for key, toks in (("n", n), ("seed", seed))
+                      for tok in toks or ()]
+    spec = ":".join(parts)
+    for argv in [["gen", spec, "-"]] + [[cmd, "--gen", spec]
+                                        for cmd in GEN_COMMANDS[kind]]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv

@@ -8,10 +8,10 @@ from latcov.errors import CapExceeded
 from latcov.instances import (CoverFunction, CoverTerm, ExplicitFunction,
                               GridPoints, GroupedTree,
                               Metric, ValuationSet, check_submodular,
-                              compute_epsilon, cover_times, dumps, loads,
+                              compute_epsilon, dumps, loads,
                               metric_closure, min_nonzero_marginal,
                               normalize, random_instance, uniform_metric)
-from util import pairwise_submodular
+from util import cover_times, pairwise_submodular
 
 
 def test_metric_validation():

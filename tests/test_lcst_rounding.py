@@ -8,14 +8,14 @@ from fractions import Fraction
 import pytest
 
 from latcov.errors import Infeasible
-from latcov.instances.trees import GroupedTree, cover_times
+from latcov.instances.trees import GroupedTree
 from latcov.lcst.lp import solve_lp_lcst
 from latcov.lcst.rounding import (alg_lcst, flow_adjust, krs_round,
                                   level_marginals, level_tour, repeat_count,
                                   residual_requirements, weight_cap)
 
-from util import (max_flow_fractions, random_grouped_tree, single_leaf_tree,
-                  tree_tour_optimum, two_level_tree)
+from util import (cover_times, max_flow_fractions, random_grouped_tree,
+                  single_leaf_tree, tree_tour_optimum, two_level_tree)
 
 BIG = Fraction(10 ** 9)  # stands in for an uncapped arc; Fraction(inf) raises
 

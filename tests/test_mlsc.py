@@ -9,8 +9,8 @@ from latcov.instances.generators import random_instance
 from latcov.instances.metrics import GridPoints, metric_from_matrix, uniform_metric
 from latcov.instances.valuations import ValuationSet, check_submodular
 from latcov.mlsc import (LatencyTour, ResidualValuation, alg_mlsc,
-                         brute_force_latency, check_mlsc_recurrence,
-                         mlsc_checkpoint_base, uncovered_after)
+                         PhaseLog, brute_force_latency, check_mlsc_recurrence,
+                         mlsc_checkpoint_base)
 from latcov.orienteering import SopResult, sop_exact, sop_recursive_greedy
 from latcov.ranking import alg_ag, brute_force_ranking
 
@@ -105,7 +105,7 @@ def test_uniform_metric_matches_greedy_ranking():
     for seed in range(10):
         inst = random_instance("uniform-metric", 6, seed)
         tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
-        order, _ = alg_ag(inst.valuations)
+        order = alg_ag(inst.valuations)
         horizon = max(order.cover_times)
         assert len(log.phases) == 1
         assert log.phases[0].added == order.permutation[:horizon]
@@ -181,23 +181,33 @@ def test_recurrence_phase_zero_coverage_is_trivial():
     inst = random_instance("uniform-metric", 5, 0)
     tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
     assert len(log.phases) == 1
-    assert log.checkpoints[0][2] == 0
     opt = brute_force_latency(inst.metric, inst.valuations)
-    ok, rows = check_mlsc_recurrence(log, opt)
+    ok, rows = check_mlsc_recurrence(tour, log, opt)
     assert ok
+    assert rows[0][1] == 0   # everything covered by the first checkpoint
 
 
-def rerun_mlsc_recurrence(log, opt):
+def rerun_mlsc_recurrence(tour, log, opt):
     """Reference check_mlsc_recurrence: its own level loop, as it stood
-    before the deterministic checks ran on check_decay."""
-    counts = {j: c for j, _, c in log.checkpoints}
+    before the deterministic checks ran on check_decay, on checkpoint
+    counts built as alg_mlsc once logged them (uncovered strictly after
+    t_j, up to the first t_j past the walk's length)."""
+    base = mlsc_checkpoint_base(log.alpha, log.rho, log.sigma)
+    counts = {}
+    j = 0
+    while True:
+        t_j = base * (1 << j)
+        counts[j] = sum(1 for c in tour.cover_times if c > t_j)
+        if t_j >= tour.prefix[-1]:
+            break
+        j += 1
     rows: list[tuple[int, int, int, int]] = []
     ok = True
     prev = 0  # |R_{-1}|
     j = 0
     while True:
         r_j = counts.get(j, 0)
-        rstar_j = len(uncovered_after(opt.cover_times, 1 << j))
+        rstar_j = sum(1 for c in opt.cover_times if c > 1 << j)
         rows.append((j, r_j, prev, rstar_j))
         if 4 * r_j > prev + 4 * rstar_j:
             ok = False
@@ -213,13 +223,22 @@ def test_recurrence_holds_on_random_instances():
         inst = mlsc_instance(seed, n=4 + seed % 3)
         tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
         opt = brute_force_latency(inst.metric, inst.valuations)
-        ok, rows = check_mlsc_recurrence(log, opt)
+        ok, rows = check_mlsc_recurrence(tour, log, opt)
         assert ok, (seed, rows)
-        assert (ok, rows) == rerun_mlsc_recurrence(log, opt), seed
+        assert (ok, rows) == rerun_mlsc_recurrence(tour, log, opt), seed
         j0 = rows[0]
         assert j0[1] <= j0[3]  # quarter-decay at j=0 degenerates to this
 
 
-def test_uncovered_after_is_strict():
-    assert uncovered_after((3, 5, 7), 5) == (2,)
-    assert uncovered_after((3, 5, 7), 4) == (1, 2)
+def test_recurrence_counts_strictly_after_each_checkpoint():
+    # a valuation covered exactly at a checkpoint is not in R_j (R*_j): the
+    # tour covers at t_0 = 16 and t_1 = 32, the optimum at 1 and 2
+    log = PhaseLog(Fraction(1), 1, 1, 4, ())
+    base = mlsc_checkpoint_base(log.alpha, log.rho, log.sigma)
+    assert base == 16
+    tour = LatencyTour((0, 1, 0), (0, 16, 32), (16, 32), 48)
+    opt = LatencyTour((0, 1, 0), (0, 1, 2), (1, 2), 3)
+    ok, rows = check_mlsc_recurrence(tour, log, opt)
+    assert ok
+    assert rows == [(0, 1, 0, 1), (1, 0, 1, 0)]
+    assert (ok, rows) == rerun_mlsc_recurrence(tour, log, opt)

@@ -38,20 +38,20 @@ def test_residual_score_skips_covered():
 def test_alg_ag_prefers_double_coverage():
     # element 0 covers both groups; classic set-cover greedy takes it first
     vs = ValuationSet.coverage(4, [[0, 1], [0, 2], [3]])
-    order, _ = alg_ag(vs)
+    order = alg_ag(vs)
     assert order.permutation[0] == 0
 
 
 def test_alg_ag_tiebreak_smallest_index():
     vs = ValuationSet.coverage(4, [[0, 1], [2, 3]])
-    order, _ = alg_ag(vs)
+    order = alg_ag(vs)
     assert order.permutation[0] == 0
 
 
 def test_cover_times_and_objective_consistent():
     for seed in range(25):
         vs = random_instance("random-groups", 6, seed).valuations
-        order, trace = alg_ag(vs)
+        order = alg_ag(vs)
         assert order.objective == sum(order.cover_times)
         # recompute cover times from scratch
         mask = 0
@@ -64,20 +64,21 @@ def test_cover_times_and_objective_consistent():
                     # covered exactly at t: uncovered after t-1 elements
                     assert f.value(prev) < 1
         # |R(t)| non-increasing
-        sizes = [len(u) for u in trace.uncovered]
+        sizes = [uncovered_at(order.cover_times, t)
+                 for t in range(1, vs.n + 1)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_prefix_recompute_argmax():
     for seed in range(10):
         vs = random_instance("random-groups", 5, seed).valuations
-        order, trace = alg_ag(vs)
+        order = alg_ag(vs)
         mask = 0
-        for t, e in enumerate(order.permutation):
+        for e in order.permutation:
             residual = ResidualFunction(vs, mask)
             best = max(residual.value(1 << x)
                        for x in range(vs.n) if not mask & (1 << x))
-            assert residual.value(1 << e) == best == trace.chosen_scores[t]
+            assert residual.value(1 << e) == best
             # ties: no smaller index attains the max
             for x in range(e):
                 if not mask & (1 << x):
@@ -108,14 +109,14 @@ def test_brute_force_matches_literal_enumeration():
 def test_greedy_never_beats_oracle():
     for seed in range(40):
         vs = random_instance("random-groups", 6, seed).valuations
-        order, _ = alg_ag(vs)
+        order = alg_ag(vs)
         assert order.objective >= brute_force_ranking(vs).objective
 
 
 def test_ratio_within_theorem_bound():
     for seed in range(60):
         vs = random_instance("random-groups", 6, seed).valuations
-        order, _ = alg_ag(vs)
+        order = alg_ag(vs)
         opt = brute_force_ranking(vs)
         assert order.objective <= 56 * vs.alpha * opt.objective
 
@@ -157,14 +158,17 @@ def test_check_log_claim_random_chains_bounded():
             assert float(total) <= 1 + math.log(1 / vs.epsilon) + 1e-9
 
 
-def rerun_recurrence(trace, opt, alpha):
+def rerun_recurrence(vs, order, opt, alpha):
     """Reference check_recurrence: its own level loop, as it stood before
-    the deterministic checks ran on check_decay."""
+    the deterministic checks ran on check_decay. It counts |R_j| (|R*_j|)
+    as the valuations still below 1 on the first base * 2^j - 1 (2^j - 1)
+    elements of the greedy (optimal) permutation, not from cover times."""
     base = checkpoint_base(alpha)
-    n = len(trace.uncovered)
+    n = vs.n
 
-    def r_size(t: int) -> int:
-        return len(trace.uncovered[t - 1]) if t <= n else 0
+    def r_size(perm, t: int) -> int:
+        mask = sum(1 << e for e in perm[:t - 1])
+        return sum(1 for f in vs.functions if f.value(mask) < 1)
 
     horizon = max(n, max(opt.cover_times))
     rows: list[tuple[int, int, int, int]] = []
@@ -172,8 +176,8 @@ def rerun_recurrence(trace, opt, alpha):
     j = 0
     prev = 0  # |R_{-1}|
     while True:
-        r_j = r_size(base * (1 << j))
-        rstar_j = len(uncovered_at(opt.cover_times, 1 << j))
+        r_j = r_size(order.permutation, base * (1 << j))
+        rstar_j = r_size(opt.permutation, 1 << j)
         rows.append((j, r_j, prev, rstar_j))
         if 4 * r_j > prev + 4 * rstar_j:
             ok = False
@@ -187,11 +191,11 @@ def rerun_recurrence(trace, opt, alpha):
 def test_recurrence_on_random_instances():
     for seed in range(60):
         vs = random_instance("random-groups", 6, seed).valuations
-        order, trace = alg_ag(vs)
+        order = alg_ag(vs)
         opt = brute_force_ranking(vs)
-        ok, rows = check_recurrence(trace, opt, vs.alpha)
+        ok, rows = check_recurrence(order, opt, vs.alpha)
         assert ok, (seed, rows)
-        assert (ok, rows) == rerun_recurrence(trace, opt, vs.alpha), seed
+        assert (ok, rows) == rerun_recurrence(vs, order, opt, vs.alpha), seed
         # j = 0 row is structurally true: |R_0| <= |R*_0|
         j0 = rows[0]
         assert j0[1] <= j0[3]
@@ -199,10 +203,13 @@ def test_recurrence_on_random_instances():
 
 def test_recurrence_trivial_when_covered_at_one():
     vs = ValuationSet.singlegroup(3, [[0, 1, 2]], [1])
-    order, trace = alg_ag(vs)
+    order = alg_ag(vs)
     opt = brute_force_ranking(vs)
-    ok, _ = check_recurrence(trace, opt, vs.alpha)
+    ok, rows = check_recurrence(order, opt, vs.alpha)
     assert ok
+    # every cover index is 1, yet the scan runs past n = 3, to j = 2
+    assert [row[0] for row in rows] == [0, 1, 2]
+    assert (ok, rows) == rerun_recurrence(vs, order, opt, vs.alpha)
 
 
 def test_decay_check_refuses_a_base_below_one():
@@ -230,7 +237,7 @@ def test_mssc_special_case_ratio_four():
         groups = [sorted(rng.sample(range(n), rng.randint(1, 3)))
                   for _ in range(rng.randint(2, 5))]
         vs = ValuationSet.singlegroup(n, groups, [1] * len(groups))
-        order, _ = alg_ag(vs)
+        order = alg_ag(vs)
         opt = brute_force_ranking(vs)
         assert order.objective <= 4 * opt.objective
 
@@ -258,17 +265,17 @@ def test_residual_memos_are_per_scheduled_set():
 
 def scoring_alg_ag(vs):
     """Reference copy of the greedy loop that scores every step, also after
-    everything is covered, and compares Fraction values."""
+    everything is covered, and compares Fraction values; returns the
+    permutation."""
     n = vs.n
-    perm, scores, mask = [], [], 0
+    perm, mask = [], 0
     for _ in range(n):
         residual = ResidualFunction(vs, mask)
         e = max((e for e in range(n) if not mask & (1 << e)),
                 key=lambda e: residual.value(1 << e))
         perm.append(e)
-        scores.append(residual.value(1 << e))
         mask |= 1 << e
-    return tuple(perm), tuple(scores)
+    return tuple(perm)
 
 
 def test_alg_ag_matches_scoring_every_step():
@@ -277,9 +284,9 @@ def test_alg_ag_matches_scoring_every_step():
         for n in range(3, 9):
             for seed in range(4):
                 vs = random_valuations(style, n, seed)
-                order, trace = alg_ag(vs)
-                assert (order.permutation, trace.chosen_scores) \
-                    == scoring_alg_ag(vs), (style, n, seed)
+                order = alg_ag(vs)
+                assert order.permutation == scoring_alg_ag(vs), \
+                    (style, n, seed)
                 early += max(order.cover_times) < n
     assert early > 0   # the covered tail is exercised
 

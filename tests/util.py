@@ -3,6 +3,7 @@ machinery than the library routines they check."""
 
 from fractions import Fraction
 from itertools import permutations
+from typing import Optional, Sequence
 
 
 def perm_optimum(vs):
@@ -36,8 +37,6 @@ def tree_tour_optimum(tree):
     through non-members, and appending unvisited members after the last
     needed one never changes any cover time. Returns (objective, walk).
     """
-    from latcov.instances.trees import cover_times
-
     members = sorted(v for g in tree.groups for v in g)
     best_obj, best_walk = None, None
     for perm in permutations(members):
@@ -49,6 +48,39 @@ def tree_tour_optimum(tree):
                                                   and walk < best_walk):
             best_obj, best_walk = obj, walk
     return best_obj, best_walk
+
+
+def cover_times(tree, walk: Sequence[int]) -> tuple[list[Optional[int]], int]:
+    """Per-group cover times along a walk on a grouped tree plus the summed
+    objective.
+
+    The cover time of a group is the walk-prefix distance at which its
+    k-th distinct member is first visited; None if the walk never covers
+    it (such groups contribute nothing to the sum and the caller decides
+    how to account for them).
+    """
+    dist = tree.distances()
+    need = {gi: tree.reqs[gi] for gi in range(len(tree.groups))}
+    member_of: dict[int, int] = {}
+    for gi, g in enumerate(tree.groups):
+        for v in g:
+            member_of[v] = gi
+    times: list[Optional[int]] = [None] * len(tree.groups)
+    seen: set[int] = set()
+    t = 0
+    prev = walk[0] if walk else tree.root
+    for i, v in enumerate(walk):
+        if i > 0:
+            t += dist[prev][v]
+        prev = v
+        if v in member_of and v not in seen:
+            seen.add(v)
+            gi = member_of[v]
+            need[gi] -= 1
+            if need[gi] == 0 and times[gi] is None:
+                times[gi] = t
+    objective = sum(x for x in times if x is not None)
+    return times, objective
 
 
 def pairwise_submodular(fn, n):
