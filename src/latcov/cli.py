@@ -15,6 +15,7 @@ hit, failed hard check), 3 infeasibility.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -39,8 +40,8 @@ from .orienteering import SopQuery, sop_exact, sop_recursive_greedy
 from .ranking import (ResidualFunction, alg_ag, brute_force_ranking,
                       check_log_claim, check_recurrence)
 from .stochastic import (alg_ag_sto, check_sto_recurrence, evaluate_policy,
-                         greedy_policy, optimal_adaptive, reduce_filter,
-                         reduce_sgmssc, reduce_ssc, sample_outcome)
+                         greedy_policy, optimal_adaptive, outcome_sampler,
+                         reduce_filter, reduce_sgmssc, reduce_ssc)
 
 COLUMNS = ("command", "config", "seed", "objective", "oracle", "ratio",
            "ratio_num", "ratio_den", "checkpoints", "ok", "detail")
@@ -307,11 +308,10 @@ def _stochastic_records(st, args, cfg: RunConfig, command: str):
         detail = {"mode": "exact", "horizon": st.total_length}
     except CapExceeded:
         rng = random.Random(f"wssr-cli:{args.seed}")
-        total = Fraction(0)
-        for _ in range(args.samples):
-            total += alg_ag_sto(st, sample_outcome(st, rng),
-                                policy).objective
-        objective = total / args.samples
+        draw, runs = outcome_sampler(st), {}
+        total = sum(alg_ag_sto(st, draw(rng), policy, runs).objective
+                    for _ in range(args.samples))
+        objective = Fraction(total, args.samples)
         detail = {"mode": "mc", "samples": args.samples}
     detail.update(n=st.n, m=st.valuations.m)
     fields = {"objective": _rat(objective), "detail": _detail(detail)}
@@ -608,6 +608,7 @@ def emit(records, fmt: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -710,9 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = RunConfig.from_args(args)
+    # the cached parser holds the handlers first bound; run the current one
+    handler = globals().get(args.func.__name__, args.func)
     start = time.perf_counter()
     try:
-        records, code = args.func(args, cfg)
+        records, code = handler(args, cfg)
     except (Infeasible, Uncoverable) as exc:
         print(f"latcov {args.command}: infeasible: {exc}", file=sys.stderr)
         return 3

@@ -179,7 +179,7 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     kmax = _path_vertex_bound(q)
     depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
     never = q.budget + 1   # no call asks for a larger budget
-    memo: dict = {}        # (s, t, depth, mask) -> entries
+    memo: dict = {}        # (s, t, depth, mask) -> entry, or list of 2+
 
     def best(s: int, t: int | None, budget: int, depth: int, mask: int):
         """Best path from s of length <= budget given collected mask, ending
@@ -187,13 +187,10 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
         Returns the entry (g(mask u path) as an int, path, path mask, path
         length, next), the answer at every budget in [length, next)."""
         key = (s, t, depth, mask)
-        entries = memo.get(key)
-        if entries is None:
-            entries = memo[key] = []
-        else:
-            for hit in entries:
-                if hit[3] <= budget < hit[4]:
-                    return hit
+        got = memo.get(key)
+        for hit in (got,) if type(got) is tuple else got or ():
+            if hit[3] <= budget < hit[4]:
+                return hit
         ds = d[s]
         nxt = never
         if t is None:
@@ -238,7 +235,8 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
                 if b1 + back < nxt:
                     nxt = b1 + back
         entry = top + (nxt,)
-        entries.append(entry)
+        memo[key] = entry if got is None else (
+            [got, entry] if type(got) is tuple else [*got, entry])
         return entry
 
     path = best(q.root, None, q.budget, depth, 0)[1]

@@ -7,13 +7,17 @@ independence makes conditioning on the observed prefix vacuous, so the
 expectation runs over the element's own distribution and is exact.
 
 A policy is a rule on knowledge states (scheduled set, realized set), both
-bitmasks: it names the next element, or None to stop. Replay asks it state
-by state along one outcome vector. One memoized recursion over states gives
-a policy's exact expected cost (evaluate_policy) and, minimizing over the
-next element, the optimal policy (optimal_adaptive). That space is
-exponential, so both are capped very small; past the cap the `wssr` command
-samples greedy runs. greedy_policy computes its rule lazily, one cached
-state at a time, so it has no size cap.
+bitmasks, and a pure function of them: it names the next element, or None
+to stop. Replay asks it state by state along one outcome vector until it
+stops or everything is covered. The runs form a tree on the points drawn at
+the visited elements, which a caller replaying many outcomes keeps per
+policy for its loop (policy_cover_times), so each path is computed once.
+One memoized recursion over states gives a policy's exact expected cost
+(evaluate_policy) and, minimizing over the next element, the optimal policy
+(optimal_adaptive). That space is exponential, so both are capped very
+small; past the cap the `wssr` command samples greedy runs. greedy_policy
+computes its rule lazily, one cached state at a time, so it has no size
+cap.
 
 Cover times are clock times (prefix sums of lengths). A valuation no
 realization satisfies pays the full schedule length, the maximum time any
@@ -25,10 +29,12 @@ from __future__ import annotations
 import functools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import CapExceeded, size_cap
 from .instances.stoch import StochasticInstance, Support
@@ -71,56 +77,78 @@ def sto_residual_score(inst: StochasticInstance, scheduled: int,
     return gain / (residual.den * inst.lengths[e])
 
 
-def _draw(supp: Support, rng: random.Random) -> int:
-    r = rng.random()
-    acc = 0.0
-    for b, p in supp:
-        acc += float(p)
-        if r < acc:
-            return b
-    return supp[-1][0]  # r landed in float round-off slack
+def outcome_sampler(inst: StochasticInstance
+                    ) -> Callable[[random.Random], tuple[int, ...]]:
+    """sample_outcome prepared once: draw(rng) gives each element the first
+    support point whose running float sum of probabilities exceeds its
+    rng.random(), or its last point if round-off leaves the draw past it."""
+    tables = [(list(accumulate(float(p) for _, p in supp)),
+               tuple(b for b, _ in supp) + (supp[-1][0],))
+              for supp in inst.supports]
+
+    def draw(rng: random.Random) -> tuple[int, ...]:
+        return tuple([points[bisect_right(sums, rng.random())]
+                      for sums, points in tables])
+
+    return draw
 
 
 def sample_outcome(inst: StochasticInstance, rng: random.Random
                    ) -> tuple[int, ...]:
     """One independent realization per element."""
-    return tuple(_draw(supp, rng) for supp in inst.supports)
+    return outcome_sampler(inst)(rng)
 
 
-def _replay(inst: StochasticInstance, policy: AdaptivePolicy,
-            outcome: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """Run a policy against a fixed outcome vector, yielding (element,
-    point, clock) per scheduled element until the policy stops."""
-    supports, lengths = inst.supports, inst.lengths
-    scheduled = realized = clock = 0
-    while (e := policy(scheduled, realized)) is not None:
+def _run(inst: StochasticInstance, policy: AdaptivePolicy,
+         outcome: Sequence[int], runs: Optional[dict]) -> RealizedSchedule:
+    """The policy's run on an outcome vector, walked down its run tree and
+    grown where missing; a drawn point is checked before its node is stored.
+    runs[None] is the root, an inner node (element, children by point,
+    scheduled, realized, path), a leaf the RealizedSchedule of its path, and
+    a path (element, point, clock, earlier path) or ()."""
+
+    def grow(scheduled, realized, path) -> tuple | RealizedSchedule:
+        steps, rest = [], path
+        while rest:
+            *step, rest = rest
+            steps.append(step)
+        steps.reverse()
+        cover = inst.valuations.first_cover(map(itemgetter(1, 2), steps))
+        e = policy(scheduled, realized) if None in cover else None
+        if e is not None:
+            return e, {}, scheduled, realized, path
+        times = tuple(inst.total_length if c is None else c for c in cover)
+        return RealizedSchedule(tuple(map(itemgetter(0), steps)), times,
+                                sum(times))
+
+    runs = {} if runs is None else runs
+    node = runs.get(None) or runs.setdefault(None, grow(0, 0, ()))
+    while type(node) is tuple:
+        e, kids, scheduled, realized, path = node
         b = outcome[e]
-        if b not in dict(supports[e]):
-            raise ValueError(f"outcome {b} not in element {e}'s support")
-        scheduled |= 1 << e
-        realized |= 1 << b
-        clock += lengths[e]
-        yield e, b, clock
-
-
-def _cover_times(inst: StochasticInstance,
-                 steps: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
-    """Cover times along (element, point, clock) steps."""
-    horizon = inst.total_length
-    return tuple(horizon if c is None else c for c in
-                 inst.valuations.first_cover(map(itemgetter(1, 2), steps)))
+        child = kids.get(b)
+        if child is None:
+            if b not in dict(inst.supports[e]):
+                raise ValueError(f"outcome {b} not in element {e}'s support")
+            clock = (path[2] if path else 0) + inst.lengths[e]
+            child = kids[b] = grow(scheduled | 1 << e, realized | 1 << b,
+                                   (e, b, clock, path))
+        node = child
+    return node
 
 
 def alg_ag_sto(inst: StochasticInstance, outcome: Sequence[int],
-               greedy: Optional[AdaptivePolicy] = None) -> RealizedSchedule:
+               greedy: Optional[AdaptivePolicy] = None,
+               runs: Optional[dict] = None) -> RealizedSchedule:
     """Adaptive greedy: argmax expected residual score, smallest index on
     ties, observing each draw before the next choice.
 
     outcome is a full realization vector, one support point per element;
     the run is greedy_policy replayed on it, a deterministic function of
     the instance and the vector. greedy, if given, must be
-    greedy_policy(inst); callers replaying many outcomes pass one rule so
-    its cached states are scored once.
+    greedy_policy(inst), and runs, if given, that rule's run tree (see
+    policy_cover_times); callers replaying many outcomes pass one of each
+    so cached states are scored, and repeated paths walked, once.
     """
     outcome = tuple(outcome)
     if len(outcome) != inst.n:
@@ -130,9 +158,7 @@ def alg_ag_sto(inst: StochasticInstance, outcome: Sequence[int],
             raise ValueError(f"outcome {b} not in element {e}'s support")
     if greedy is None:
         greedy = greedy_policy(inst)
-    steps = list(_replay(inst, greedy, outcome))
-    times = _cover_times(inst, steps)
-    return RealizedSchedule(tuple(e for e, _, _ in steps), times, sum(times))
+    return _run(inst, greedy, outcome, runs)
 
 
 def _check_adaptive_cap(inst: StochasticInstance):
@@ -225,9 +251,11 @@ def greedy_policy(inst: StochasticInstance) -> AdaptivePolicy:
 
 
 def policy_cover_times(inst: StochasticInstance, policy: AdaptivePolicy,
-                       outcome: Sequence[int]) -> tuple[int, ...]:
-    """Replay a policy against one fixed realization vector."""
-    return _cover_times(inst, _replay(inst, policy, outcome))
+                       outcome: Sequence[int], runs: Optional[dict] = None
+                       ) -> tuple[int, ...]:
+    """Replay a policy against one fixed realization vector. runs, if given,
+    is its run tree: a dict, empty at first, passed for it and no other."""
+    return _run(inst, policy, outcome, runs).cover_times
 
 
 def evaluate_policy(inst: StochasticInstance,
@@ -260,13 +288,14 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     rng = random.Random(f"wssr-mc:{seed}")
     if greedy is None:
         greedy = greedy_policy(inst)
-    outcomes = (sample_outcome(inst, rng) for _ in range(samples))
-    runs = [(policy_cover_times(inst, greedy, w),
-             policy_cover_times(inst, policy, w)) for w in outcomes]
+    draw, greedy_runs, policy_runs = outcome_sampler(inst), {}, {}
+    times = [(policy_cover_times(inst, greedy, w, greedy_runs),
+              policy_cover_times(inst, policy, w, policy_runs))
+             for w in (draw(rng) for _ in range(samples))]
 
     def counts(t: int, t_star: int) -> list[tuple[int, int]]:
         return [(uncovered_at(ct, t), uncovered_at(ct_star, t_star))
-                for ct, ct_star in runs]
+                for ct, ct_star in times]
 
     ok, sums = check_decay(counts, checkpoint_base(inst.valuations.alpha),
                            inst.total_length)

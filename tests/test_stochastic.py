@@ -2,9 +2,11 @@
 policy evaluation, reductions, and the Monte-Carlo checkpoint lemma."""
 
 import csv
+import gc
 import io
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,9 +21,9 @@ from latcov.ranking import (ResidualFunction, alg_ag, checkpoint_base,
 from latcov.stochastic import (RealizedSchedule, alg_ag_sto,
                                check_sto_recurrence, evaluate_policy,
                                greedy_policy, optimal_adaptive,
-                               policy_cover_times, reduce_filter,
-                               reduce_sgmssc, reduce_ssc, sample_outcome,
-                               sto_residual_score)
+                               outcome_sampler, policy_cover_times,
+                               reduce_filter, reduce_sgmssc, reduce_ssc,
+                               sample_outcome, sto_residual_score)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -572,3 +574,190 @@ def test_checkpoint_lemma_monte_carlo():
     # measured mean |R_1| ~ 1.50: the decay step is not vacuous here
     assert 1.3 <= rows[1][1] <= 1.7
     assert rows[1][4] > 0  # and genuinely stochastic
+
+
+def reference_outcome(inst, rng):
+    """Test-only copy of the draw loop outcome_sampler replaced: per
+    element, the first point whose running float sum exceeds
+    rng.random(), the last one past the final sum."""
+
+    def draw(supp):
+        r = rng.random()
+        acc = 0.0
+        for b, p in supp:
+            acc += float(p)
+            if r < acc:
+                return b
+        return supp[-1][0]
+
+    return tuple(draw(supp) for supp in inst.supports)
+
+
+def reference_steps(inst, policy, outcome):
+    """Test-only copy of the replay the run tree replaced: asks the policy
+    state by state, checks each drawn point, and yields (element, point,
+    clock) until the policy stops."""
+    scheduled = realized = clock = 0
+    while (e := policy(scheduled, realized)) is not None:
+        b = outcome[e]
+        if b not in dict(inst.supports[e]):
+            raise ValueError(f"outcome {b} not in element {e}'s support")
+        scheduled |= 1 << e
+        realized |= 1 << b
+        clock += inst.lengths[e]
+        yield e, b, clock
+
+
+def reference_cover_times(inst, steps):
+    """Cover times along reference_steps, pulled lazily by first_cover,
+    which stops at full cover."""
+    horizon = inst.total_length
+    return tuple(horizon if c is None else c for c in
+                 inst.valuations.first_cover((b, t) for _, b, t in steps))
+
+
+def reference_greedy_run(inst, outcome):
+    """alg_ag_sto as it was: the whole greedy replay, then cover times."""
+    steps = list(reference_steps(inst, greedy_policy(inst), outcome))
+    times = reference_cover_times(inst, steps)
+    return RealizedSchedule(tuple(e for e, _, _ in steps), times, sum(times))
+
+
+def swapped_paths_instance():
+    """Outcomes (0, 1, 2) and (1, 0, 2) of the in-order policy reach one
+    knowledge state, everything scheduled and points {0, 1, 2} realized,
+    with cover times (1, 2, 3) and (2, 1, 3)."""
+    coin = ((0, HALF), (1, HALF))
+    return reduce_sgmssc(3, [[0], [1], [2]], [1, 1, 1],
+                         [coin, coin, ((2, Fraction(1)),)], (1, 1, 1))
+
+
+def in_order_policy(inst):
+    return lambda scheduled, realized: next(
+        (e for e in range(inst.n) if not scheduled >> e & 1), None)
+
+
+def draw_fixtures():
+    return c13_fixtures() + [
+        random_instance("random-stochastic", n, seed).stochastic
+        for n in range(3, 9) for seed in range(2)] + fixed_reductions()
+
+
+def test_prepared_draws_match_reference_loop():
+    fixtures = draw_fixtures()
+    for k, inst in enumerate(fixtures):
+        draw = outcome_sampler(inst)
+        ref_rng, rng, wrap_rng = (random.Random(f"draw:{k}") for _ in range(3))
+        for _ in range(300):   # 10,500 outcomes over the 35 fixtures
+            w = reference_outcome(inst, ref_rng)
+            assert draw(rng) == w == sample_outcome(inst, wrap_rng)
+        assert rng.getstate() == ref_rng.getstate() == wrap_rng.getstate()
+
+
+def test_prepared_draw_boundaries():
+    # a draw equal to a running sum takes the next point; ten floats 0.1
+    # sum to the largest float below 1, so a draw there lands past the sum
+    class Fixed:
+        def __init__(self, r):
+            self.r = r
+
+        def random(self):
+            return self.r
+
+    tenth = tuple((b, Fraction(1, 10)) for b in range(10))
+    inst = StochasticInstance(10, (((0, HALF), (1, HALF)), tenth), (1, 1),
+                              ValuationSet.coverage(10, [[0]]))
+    top = sum([0.1] * 10)
+    assert top < 1
+    draw = outcome_sampler(inst)
+    for r in (0.0, 0.25, 0.5, 0.7, 0.9, math.nextafter(top, 0), top):
+        assert draw(Fixed(r)) == reference_outcome(inst, Fixed(r))
+    assert draw(Fixed(0.5)) == (1, 5)
+    assert draw(Fixed(top)) == (1, 9)
+
+
+def test_run_tree_matches_reference_replay():
+    fixtures = [swapped_paths_instance()] + draw_fixtures()
+    for k, inst in enumerate(fixtures):
+        policies = {"greedy": greedy_policy(inst),
+                    "in_order": in_order_policy(inst)}
+        try:
+            policies["optimal"] = optimal_adaptive(inst)[0]
+        except CapExceeded:
+            pass
+        trees = {name: {} for name in policies}
+        greedy_tree = {}
+        rng = random.Random(f"tree:{k}")
+        outcomes = [sample_outcome(inst, rng) for _ in range(60)]
+        if k == 0:
+            outcomes = [(0, 1, 2), (1, 0, 2)] * 2 + outcomes
+        for w in outcomes:
+            ref = reference_greedy_run(inst, w)
+            assert alg_ag_sto(inst, w) == ref
+            assert alg_ag_sto(inst, w, policies["greedy"], greedy_tree) == ref
+            for name, policy in policies.items():
+                want = reference_cover_times(
+                    inst, reference_steps(inst, policy, w))
+                assert policy_cover_times(inst, policy, w) == want
+                assert policy_cover_times(inst, policy, w,
+                                          trees[name]) == want, (k, name, w)
+    inst = fixtures[0]
+    policy = in_order_policy(inst)
+    assert [policy_cover_times(inst, policy, w)
+            for w in ((0, 1, 2), (1, 0, 2))] == [(1, 2, 3), (2, 1, 3)]
+
+
+def test_replay_stops_at_full_cover():
+    # element 0 covers the one target; past that the policy is not asked
+    # again, and element 1's point 7, off its support, is never checked
+    inst = reduce_ssc(2, [[0]], [((0, Fraction(1)),),
+                                 ((0, HALF), (1, HALF))], (1, 1))
+    asked = []
+
+    def every_element(scheduled, realized):
+        asked.append((scheduled, realized))
+        return next((e for e in range(inst.n) if not scheduled >> e & 1),
+                    None)
+
+    runs = {}   # the second walk on a shared tree asks nothing
+    for tree, want in ((None, [(0, 0)]), (runs, [(0, 0)]), (runs, [])):
+        asked.clear()
+        assert policy_cover_times(inst, every_element, (0, 7), tree) == (1,)
+        assert asked == want
+    asked.clear()
+    assert reference_cover_times(
+        inst, reference_steps(inst, every_element, (0, 7))) == (1,)
+    assert asked == [(0, 0)]
+    # alg_ag_sto still checks the whole vector up front
+    with pytest.raises(ValueError, match="support"):
+        alg_ag_sto(inst, (0, 7))
+
+
+def test_invalid_outcome_leaves_no_node():
+    inst = coin_instance()
+    for policy in (greedy_policy(inst), optimal_adaptive(inst)[0],
+                   in_order_policy(inst)):
+        runs = {}
+        for _ in range(2):   # a stored node would let the second walk pass
+            with pytest.raises(ValueError, match="support"):
+                policy_cover_times(inst, policy, (1, 0), runs)
+        for w in ((1, 1), (0, 1), (1, 1)):
+            assert policy_cover_times(inst, policy, w, runs) == \
+                reference_cover_times(inst, reference_steps(inst, policy, w))
+        with pytest.raises(ValueError, match="support"):
+            policy_cover_times(inst, policy, (1, 0), runs)
+
+
+def test_monte_carlo_wssr_keeps_no_instance_alive(capsys, monkeypatch):
+    seen = []
+
+    def watched(inst):
+        seen.append(weakref.ref(inst))
+        return outcome_sampler(inst)
+
+    monkeypatch.setattr(cli, "outcome_sampler", watched)
+    for seed in range(3):
+        _cli_objective(capsys, "wssr", "--gen", f"stochastic:n=6:seed={seed}",
+                       "--samples", "40")
+    gc.collect()
+    assert len(seen) == 3 and all(ref() is None for ref in seen)
