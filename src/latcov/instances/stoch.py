@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .valuations import ValuationSet
@@ -47,6 +48,11 @@ class StochasticInstance:
     @property
     def n(self) -> int:
         return len(self.supports)
+
+    @cached_property
+    def support_points(self) -> tuple[frozenset[int], ...]:
+        """Each element's support points, built once for outcome checks."""
+        return tuple(frozenset(b for b, _ in supp) for supp in self.supports)
 
     @property
     def total_length(self) -> int:

@@ -1,19 +1,21 @@
 """Minimum-cost cuts separating a tree root from a given number of leaves.
 
-The dynamic program runs on a normalized copy of the tree: every internal
-node gets at most two children by inserting infinite-cost dummy edges, and a
-super-root above the original root keeps exactly one root edge. C[e, k] is
-the cheapest edge set inside the subtree under e (e included) that separates
-the root from at least k of the subtree's leaves; C[e, 0] = 0, a leaf edge
-gives (0, cost, inf, ...), and an internal edge takes the better of cutting
-e itself or convolving the two child tables.
+The dynamic program runs on the query's own tree, children before parents.
+C[v, k] is the cheapest edge set inside the subtree under edge v (named by
+its child vertex, v included) that separates the root from at least k of
+the subtree's leaves, and C[v, 0] = 0.  A vertex with children c_1..c_m,
+in edge order, folds their tables right to left, c_1 + (c_2 + (... + c_m)):
+each step gives every k its cheapest split between the two sides, the
+smallest first share on ties.  Edge v is then cut for every k where its
+cost is at most the folded entry, so a cut wins ties; below a leaf nothing
+else separates it.  The root keeps its folded table.  The tie rules fix
+which of several cheapest cuts comes back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -37,131 +39,77 @@ class CutQuery:
             raise ValueError("root cannot have a parent edge")
 
 
+def _split(first, rest):
+    """Cheapest split of k separated leaves between two tables, per k.
+
+    Returns (table, shares), shares[k] being first's share, the smallest
+    on ties; sums keep the order first[k1] + rest[k - k1].
+    """
+    n1, n2 = len(first) - 1, len(rest) - 1
+    table, shares = [0], [0]
+    for k in range(1, n1 + n2 + 1):
+        lo = max(0, k - n2)
+        best, pick = first[lo] + rest[k - lo], lo
+        for k1 in range(lo + 1, min(k, n1) + 1):
+            cand = first[k1] + rest[k - k1]
+            if cand < best:
+                best, pick = cand, k1
+        table.append(best)
+        shares.append(pick)
+    return table, shares
+
+
 def min_cut_with_exceptions(q: CutQuery):
     """Cheapest cut separating the root from at least `bound` leaves.
 
     Returns (cost, witness) where witness is a frozenset of child-vertex
     edge ids; (inf, None) when bound exceeds the leaf count.
     """
-    children: dict[int, list[int]] = {q.root: []}
+    children: dict[int, list[int]] = {}
     cost_of: dict[int, object] = {}
     for (c, p), w in zip(q.edges, q.costs):
         children.setdefault(p, []).append(c)
-        children.setdefault(c, [])
         cost_of[c] = w
-    for c, p in q.edges:
-        if p != q.root and p not in cost_of:
-            raise ValueError("edges must form a tree rooted at root")
+    order = [q.root]                 # breadth first: parents before children
+    for v in order:
+        order.extend(children.get(v, ()))
+    if len(order) != len(q.edges) + 1:
+        raise ValueError("edges must form a tree rooted at root")
 
-    leaves = [v for v, ch in children.items() if not ch and v != q.root]
-    if q.bound > len(leaves):
+    if q.bound > len(cost_of.keys() - children.keys()):     # leaf count
         return math.inf, None
     if q.bound == 0:
         return 0, frozenset()
 
-    # local arrays over a binarized copy; orig maps back to edge ids
-    par: list[Optional[int]] = []
-    cost: list = []
-    orig: list[Optional[int]] = []
-    kids: list[list[int]] = []
-
-    def add(parent_loc: Optional[int], c, original) -> int:
-        v = len(par)
-        par.append(parent_loc)
-        cost.append(c)
-        orig.append(original)
-        kids.append([])
-        if parent_loc is not None:
-            kids[parent_loc].append(v)
-        return v
-
-    super_root = add(None, 0, None)
-    top = add(super_root, math.inf, None)
-    stack = [(q.root, top)]
-    while stack:
-        v, loc = stack.pop()
-        for c in children[v]:
-            stack.append((c, add(loc, cost_of[c], c)))
-    # binarize: any node with 3+ children sheds all but the first into an
-    # infinite-cost dummy child, repeatedly
-    work = list(range(len(par)))
-    while work:
-        v = work.pop()
-        if len(kids[v]) > 2:
-            moved = kids[v][1:]
-            kids[v] = kids[v][:1]
-            d = add(v, math.inf, None)
-            for u in moved:
-                par[u] = d
-                kids[d].append(u)
-            work.append(d)
-
-    # post-order over the binarized tree
-    order: list[int] = []
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(kids[v])
-    order.reverse()
-
     table: dict[int, list] = {}
-    choice: dict[int, list] = {}
-    nleaf: dict[int, int] = {}
-    for v in order:
-        if not kids[v]:
-            nleaf[v] = 1
-            table[v] = [0, cost[v]]
-            choice[v] = [None, ("cut",)]
-            continue
-        if len(kids[v]) == 1:
-            c1 = kids[v][0]
-            nl = nleaf[c1]
-            tab = [0]
-            ch: list = [None]
-            for k in range(1, nl + 1):
-                if cost[v] <= table[c1][k]:
-                    tab.append(cost[v])
-                    ch.append(("cut",))
-                else:
-                    tab.append(table[c1][k])
-                    ch.append(("one",))
-            table[v], choice[v], nleaf[v] = tab, ch, nl
-            continue
-        c1, c2 = kids[v]
-        n1, n2 = nleaf[c1], nleaf[c2]
-        nl = n1 + n2
-        tab = [0]
-        ch = [None]
-        for k in range(1, nl + 1):
-            best = cost[v]
-            pick: tuple = ("cut",)
-            for k1 in range(max(0, k - n2), min(k, n1) + 1):
-                cand = table[c1][k1] + table[c2][k - k1]
-                if cand < best:
-                    best = cand
-                    pick = ("split", k1)
-            tab.append(best)
-            ch.append(pick)
-        table[v], choice[v], nleaf[v] = tab, ch, nl
+    cut: dict[int, list[bool]] = {}
+    shares: dict[int, list[int]] = {}   # c_i's share in c_i + (c_i+1 + ...)
+    for v in reversed(order):
+        kids = children.get(v, ())
+        fold = table[kids[-1]] if kids else [0, math.inf]
+        for c in reversed(kids[:-1]):
+            fold, shares[c] = _split(table[c], fold)
+        if v == q.root:
+            break
+        w = cost_of[v]
+        cut[v] = flags = [False] + [w <= f for f in fold[1:]]
+        table[v] = [w if flag else f for flag, f in zip(flags, fold)]
 
-    value = table[top][q.bound]
+    value = fold[q.bound]
     if value == math.inf:
         return math.inf, None
-    witness: set[int] = set()
-    stack2: list[tuple[int, int]] = [(top, q.bound)]
-    while stack2:
-        v, k = stack2.pop()
+    witness: list[int] = []
+    stack = [(q.root, q.bound)]
+    while stack:
+        v, k = stack.pop()
         if k == 0:
             continue
-        pick = choice[v][k]
-        if pick == ("cut",):
-            witness.add(orig[v])
+        if v != q.root and cut[v][k]:
+            witness.append(v)
             continue
-        if pick == ("one",):
-            stack2.append((kids[v][0], k))
-            continue
-        _, k1 = pick
-        stack2.append((kids[v][0], k1))
-        stack2.append((kids[v][1], k - k1))
+        kids = children[v]
+        for c in kids[:-1]:
+            stack.append((c, shares[c][k]))
+            k -= shares[c][k]
+        stack.append((kids[-1], k))
     return value, frozenset(witness)

@@ -55,11 +55,11 @@ def separate_kc(tree, group, k_g, x: Mapping[int, object],
     if not 1 <= k_g <= len(members):
         raise ValueError("requirement must be between 1 and the group size")
     closure = reduced_tree(tree, members)
+    edges = tuple((e, tree.parent[e]) for e in closure)
     best: Optional[KcViolation] = None
     for eta in range(k_g):
         mult = k_g - eta
         costs = tuple(x[e] if e in members else mult * x[e] for e in closure)
-        edges = tuple((e, tree.parent[e]) for e in closure)
         value, witness = min_cut_with_exceptions(
             CutQuery(edges, costs, tree.root, len(members) - eta))
         rhs = mult * y_target

@@ -128,7 +128,7 @@ def _run(inst: StochasticInstance, policy: AdaptivePolicy,
         b = outcome[e]
         child = kids.get(b)
         if child is None:
-            if b not in dict(inst.supports[e]):
+            if b not in inst.support_points[e]:
                 raise ValueError(f"outcome {b} not in element {e}'s support")
             clock = (path[2] if path else 0) + inst.lengths[e]
             child = kids[b] = grow(scheduled | 1 << e, realized | 1 << b,
@@ -154,7 +154,7 @@ def alg_ag_sto(inst: StochasticInstance, outcome: Sequence[int],
     if len(outcome) != inst.n:
         raise ValueError("outcome vector must cover every element")
     for e, b in enumerate(outcome):
-        if b not in [pt for pt, _ in inst.supports[e]]:
+        if b not in inst.support_points[e]:
             raise ValueError(f"outcome {b} not in element {e}'s support")
     if greedy is None:
         greedy = greedy_policy(inst)

@@ -1,6 +1,7 @@
 """Property tests of the exit-code contract: 0 ok, 2 invariant or bad
 input, 3 infeasible, and never a traceback, whatever the arguments or the
-instance file.
+instance file.  Library entry points under the CLI either answer or raise
+ValueError, which the CLI turns into exit 2.
 
 Derandomized, so every run draws the same examples.
 """
@@ -18,6 +19,8 @@ from latcov import cli  # noqa: E402
 from latcov.instances import (Instance, dumps, loads,  # noqa: E402
                               random_instance)
 from latcov.instances.generators import random_valuations  # noqa: E402
+from latcov.lcst.mincut import CutQuery, min_cut_with_exceptions  # noqa: E402
+from test_lcst_cuts import brute_min_cut, check_cut  # noqa: E402
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -113,3 +116,49 @@ def test_every_generator_kind_keeps_exit_contract(kind, n, seed):
             code = cli.main(argv)
         assert code in (0, 2, 3), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+@st.composite
+def cut_queries(draw):
+    """Up to 8 (child, parent) pairs, int costs and a bound: a tree rooted
+    at 0 with some pairs redrawn, so duplicate children, the root as a
+    child, dangling parents and cycles occur next to well-formed trees."""
+    n = draw(st.integers(0, 8))
+    redrawn = draw(st.sets(st.integers(1, n), max_size=n)) if n else set()
+    pair = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    edges = tuple(draw(st.permutations(
+        [draw(pair) if v in redrawn else (v, draw(st.integers(0, v - 1)))
+         for v in range(1, n + 1)])))
+    costs = tuple(draw(st.integers(0, 3)) for _ in edges)
+    return edges, costs, draw(st.integers(0, n + 1))
+
+
+def _rooted_tree(edges, root):
+    """Distinct children, the root not among them, and every parent chain
+    reaching the root."""
+    parent = dict(edges)
+    if len(parent) != len(edges) or root in parent:
+        return False
+    for v in parent:
+        for _ in edges:
+            if v == root:
+                break
+            v = parent.get(v, v)
+        if v != root:
+            return False
+    return True
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(query=cut_queries())
+def test_cut_oracle_answers_or_raises_value_error(query):
+    edges, costs, bound = query
+    try:
+        value, witness = min_cut_with_exceptions(
+            CutQuery(edges, costs, 0, bound))
+    except ValueError:
+        assert not _rooted_tree(edges, 0), query
+        return
+    assert _rooted_tree(edges, 0), query
+    assert value == brute_min_cut(edges, costs, 0, bound)
+    check_cut(edges, costs, 0, bound, value, witness)

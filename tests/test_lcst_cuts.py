@@ -35,6 +35,104 @@ def brute_min_cut(edges, costs, root, bound):
     return best
 
 
+def binarized_min_cut(edges, costs, root, bound):
+    """The cut DP on a binarized copy, kept as the reference for tie order.
+
+    A super-root sits above the root behind an infinite-cost "top" edge,
+    and a node of 3+ children keeps its first child and moves the rest
+    under an infinite-cost dummy child, repeatedly.  A one-child node cuts
+    its edge when that costs at most the child's entry; a two-child node
+    cuts unless a split is strictly cheaper, taking the first cheapest
+    split.  Only for trees rooted at root.
+    """
+    children = {root: []}
+    cost_of = {}
+    for (c, p), w in zip(edges, costs):
+        children.setdefault(p, []).append(c)
+        children.setdefault(c, [])
+        cost_of[c] = w
+    leaves = [v for v, ch in children.items() if not ch and v != root]
+    if bound > len(leaves):
+        return math.inf, None
+    if bound == 0:
+        return 0, frozenset()
+
+    cost, orig, kids = [], [], []
+
+    def add(parent_loc, c, original):
+        cost.append(c)
+        orig.append(original)
+        kids.append([])
+        if parent_loc is not None:
+            kids[parent_loc].append(len(kids) - 1)
+        return len(kids) - 1
+
+    top = add(add(None, 0, None), math.inf, None)
+    stack = [(root, top)]
+    while stack:
+        v, loc = stack.pop()
+        for c in children[v]:
+            stack.append((c, add(loc, cost_of[c], c)))
+    work = list(range(len(kids)))
+    while work:
+        v = work.pop()
+        if len(kids[v]) > 2:
+            moved = kids[v][1:]
+            kids[v] = kids[v][:1]
+            d = add(v, math.inf, None)
+            kids[d].extend(moved)
+            work.append(d)
+
+    order, stack = [], [top]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(kids[v])
+    table, choice, nleaf = {}, {}, {}
+    for v in reversed(order):
+        if not kids[v]:
+            table[v], choice[v], nleaf[v] = [0, cost[v]], [None, ("cut",)], 1
+        elif len(kids[v]) == 1:
+            c1 = kids[v][0]
+            table[v], choice[v] = [0], [None]
+            for k in range(1, nleaf[c1] + 1):
+                cut = cost[v] <= table[c1][k]
+                table[v].append(cost[v] if cut else table[c1][k])
+                choice[v].append(("cut",) if cut else ("one",))
+            nleaf[v] = nleaf[c1]
+        else:
+            c1, c2 = kids[v]
+            n1, n2 = nleaf[c1], nleaf[c2]
+            table[v], choice[v], nleaf[v] = [0], [None], n1 + n2
+            for k in range(1, n1 + n2 + 1):
+                best, pick = cost[v], ("cut",)
+                for k1 in range(max(0, k - n2), min(k, n1) + 1):
+                    cand = table[c1][k1] + table[c2][k - k1]
+                    if cand < best:
+                        best, pick = cand, ("split", k1)
+                table[v].append(best)
+                choice[v].append(pick)
+
+    value = table[top][bound]
+    if value == math.inf:
+        return math.inf, None
+    witness = set()
+    stack = [(top, bound)]
+    while stack:
+        v, k = stack.pop()
+        if k == 0:
+            continue
+        pick = choice[v][k]
+        if pick == ("cut",):
+            witness.add(orig[v])
+        elif pick == ("one",):
+            stack.append((kids[v][0], k))
+        else:
+            stack.append((kids[v][0], pick[1]))
+            stack.append((kids[v][1], k - pick[1]))
+    return value, frozenset(witness)
+
+
 def brute_kc_deficit(tree, group, k, x, y_target):
     """Literal worst deficit over every (A, B) pair: A a subset of the group
     of size eta, B any edge subset separating the root from group minus A.
@@ -203,6 +301,52 @@ def test_random_trees_match_enumeration():
             assert value == brute_min_cut(edges, costs, 0, bound)
             check_cut(edges, costs, 0, bound, value, witness)
             assert min_cut_with_exceptions(q) == (value, witness)
+
+
+def reference_queries(seed):
+    """Trees for pinning the tie order: random, star or chain shapes on
+    shuffled labels with shuffled edges, and int 0..3, Fraction or float
+    costs, so ties are common."""
+    rng = random.Random(f"fold:{seed}")
+    n = rng.randint(2, 13)
+    shape = seed % 4
+    if shape == 0:
+        parent = [None] + [0] * (n - 1)
+    elif shape == 1:
+        parent = [None] + list(range(n - 1))
+    else:
+        parent = [None] + [rng.randrange(i) for i in range(1, n)]
+    label = rng.sample(range(50), n)
+    edges = [(label[v], label[parent[v]]) for v in range(1, n)]
+    rng.shuffle(edges)
+    kind = seed // 4 % 3
+    if kind == 0:
+        costs = [rng.randint(0, 3) for _ in edges]
+    elif kind == 1:
+        costs = [Fraction(rng.randint(0, 6), 2) for _ in edges]
+    else:
+        costs = [rng.choice((0.0, 0.5, 1.0, 1.5)) for _ in edges]
+    return tuple(edges), tuple(costs), label[0]
+
+
+def test_fold_matches_binarized_reference():
+    for seed in range(1300):
+        edges, costs, root = reference_queries(seed)
+        leaves = len({c for c, _ in edges} - {p for _, p in edges})
+        for bound in range(leaves + 2):
+            got = min_cut_with_exceptions(CutQuery(edges, costs, root, bound))
+            want = binarized_min_cut(edges, costs, root, bound)
+            assert got == want, (edges, costs, root, bound)
+            assert type(got[0]) is type(want[0])
+
+
+def test_detached_cycle_is_refused():
+    # 2 and 3 are each other's parent and 4 hangs under them: the root
+    # reaches vertex 1 only, so no bound is answered
+    edges = ((1, 0), (2, 3), (3, 2), (4, 3))
+    for bound in range(4):
+        with pytest.raises(ValueError):
+            min_cut_with_exceptions(CutQuery(edges, (1, 1, 1, 1), 0, bound))
 
 
 # ---- separation ---------------------------------------------------------------

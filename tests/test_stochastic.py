@@ -761,3 +761,18 @@ def test_monte_carlo_wssr_keeps_no_instance_alive(capsys, monkeypatch):
                        "--samples", "40")
     gc.collect()
     assert len(seen) == 3 and all(ref() is None for ref in seen)
+
+
+def test_support_points_prepared_once():
+    inst = coin_instance()
+    assert inst.support_points is inst.support_points
+    assert inst.support_points == tuple(
+        frozenset(b for b, _ in supp) for supp in inst.supports)
+    greedy = greedy_policy(inst)
+    runs = {}
+    assert alg_ag_sto(inst, (1, 1), greedy, runs) == reference_greedy_run(
+        inst, (1, 1))
+    # element 0 drawing the target ends the run before element 1, whose
+    # point is checked all the same
+    with pytest.raises(ValueError, match="not in element 1's support"):
+        alg_ag_sto(inst, (0, 0), greedy, runs)
