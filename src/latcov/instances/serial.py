@@ -48,6 +48,13 @@ def parse_rat(tok: str) -> Fraction:
     return Fraction(p, q)
 
 
+def _count(tok: str, field: str) -> int:
+    n = int(tok)
+    if n < 0:
+        raise ValueError(f"{field} must be >= 0, got {n}")
+    return n
+
+
 def dumps(inst: Instance) -> str:
     if inst.kind not in FORMAT_KINDS:
         raise ValueError(f"unknown instance kind {inst.kind!r}")
@@ -148,11 +155,11 @@ def loads(text: str) -> Instance:
                 raise CapExceeded(f"{tag} capped at n={size_cap(GEN_CAP)}, "
                                   f"got n={n}")
         if tag == "METRIC":
-            n, root = int(toks[1]), int(toks[2])
+            n, root = _count(toks[1], "METRIC vertex count"), int(toks[2])
             rows = [[int(x) for x in take().split()] for _ in range(n)]
             metric = metric_from_matrix(rows, root)
         elif tag == "TREE":
-            nv, root = int(toks[1]), int(toks[2])
+            nv, root = _count(toks[1], "TREE vertex count"), int(toks[2])
             if nv - 1 > len(lines) - pos:   # before allocating nv slots
                 raise ValueError(f"TREE {nv}: too few rows in the file")
             parent: list = [None] * nv
@@ -166,17 +173,20 @@ def loads(text: str) -> Instance:
             if len(gline) != 2 or gline[0] != "GROUPS":
                 raise ValueError("TREE must be followed by 'GROUPS <count>'")
             groups, reqs = [], []
-            for _ in range(int(gline[1])):
+            for _ in range(_count(gline[1], "GROUPS count")):
                 k_part, members = take().split(" : ", 1)
                 reqs.append(int(k_part))
                 groups.append([int(x) for x in members.split()])
             tree = GroupedTree(parent, weight, root, groups, reqs)
         elif tag == "VALUATIONS":
-            m, n, vkind, eps = int(toks[1]), int(toks[2]), toks[3], parse_rat(toks[4])
+            m = _count(toks[1], "VALUATIONS function count")
+            n = _count(toks[2], "VALUATIONS ground set size")
+            vkind, eps = toks[3], parse_rat(toks[4])
             fns = [_parse_function(take(), n) for _ in range(m)]
             valuations = ValuationSet(n, fns, vkind, eps)
         elif tag == "STOCHASTIC":
-            nelems, domain = int(toks[1]), int(toks[2])
+            nelems = _count(toks[1], "STOCHASTIC element count")
+            domain = _count(toks[2], "STOCHASTIC domain size")
             if valuations is None:
                 raise ValueError("STOCHASTIC requires a preceding VALUATIONS")
             supports, lengths = [], []
@@ -198,6 +208,9 @@ def loads(text: str) -> Instance:
 
     if kind == "mlsc" and (metric is None or valuations is None):
         raise ValueError("mlsc file missing METRIC or VALUATIONS")
+    if kind == "mlsc" and metric.n != valuations.n:
+        raise ValueError(f"mlsc file: METRIC has {metric.n} vertices but "
+                         f"VALUATIONS has n={valuations.n}")
     if kind == "ranking" and valuations is None:
         raise ValueError("ranking file missing VALUATIONS")
     if kind == "lcst" and tree is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -27,6 +28,9 @@ class StochasticInstance:
     valuations: ValuationSet
 
     def __post_init__(self):
+        if not self.supports:
+            raise ValueError("supports must name at least one element, "
+                             "got none")
         if self.valuations.n != self.domain:
             raise ValueError("valuations must live on the element domain")
         if len(self.supports) != len(self.lengths):
@@ -53,6 +57,22 @@ class StochasticInstance:
     def support_points(self) -> tuple[frozenset[int], ...]:
         """Each element's support points, built once for outcome checks."""
         return tuple(frozenset(b for b, _ in supp) for supp in self.supports)
+
+    @cached_property
+    def int_weights(self) -> tuple[int, tuple[tuple[int, int, tuple], ...]]:
+        """The stochastic kernels' ints, built once: (T, per element
+        (d_e, w_e, ((1 << b, c_b), ...))). d_e is the lcm of element e's
+        probability denominators, c_b = p_b * d_e for each support point
+        b, T the lcm of d_e * len_e over elements and w_e = T / (d_e len_e),
+        so p_b / len_e = w_e * c_b / T."""
+        dens = [math.lcm(*(p.denominator for _, p in supp))
+                for supp in self.supports]
+        total = math.lcm(*(d * int(ln) for d, ln in zip(dens, self.lengths)))
+        return total, tuple(
+            (d, total // (d * int(ln)),
+             tuple((1 << b, p.numerator * (d // p.denominator))
+                   for b, p in supp))
+            for d, ln, supp in zip(dens, self.lengths, self.supports))
 
     @property
     def total_length(self) -> int:

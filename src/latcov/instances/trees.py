@@ -57,6 +57,8 @@ class GroupedTree:
             raise ValueError("root carries no edge weight")
         if len(self.weight) != n or len(self.groups) != len(self.reqs):
             raise ValueError("field length mismatch")
+        if not self.groups:
+            raise ValueError("groups must name at least one group, got none")
         seen_root = 0
         for v in range(n):
             if v == self.root:

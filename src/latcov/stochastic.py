@@ -17,7 +17,8 @@ One memoized recursion over states gives a policy's exact expected cost
 (optimal_adaptive). That space is exponential, so both are capped very
 small; past the cap the `wssr` command samples greedy runs. greedy_policy
 computes its rule lazily, one cached state at a time, so it has no size
-cap.
+cap. The scores and the recursion sum ints over the instance's
+int_weights and make a Fraction only of the value they hand back.
 
 Cover times are clock times (prefix sums of lengths). A valuation no
 realization satisfies pays the full schedule length, the maximum time any
@@ -65,7 +66,9 @@ def sto_residual_score(inst: StochasticInstance, scheduled: int,
     """Expected residual gain of element e, per unit of its length.
 
     scheduled is a bitmask over elements, realized a bitmask over domain
-    points already drawn. Exact: sums the element's explicit distribution.
+    points already drawn. Exact: sums the element's explicit distribution
+    as one int over inst.int_weights, w_e * sum_b c_b * residual.num(b)
+    over residual.den * T, and makes one Fraction of it.
     residual, if given, must be ResidualFunction(inst.valuations,
     realized); callers scoring many elements at one state pass one.
     """
@@ -73,8 +76,10 @@ def sto_residual_score(inst: StochasticInstance, scheduled: int,
         raise ValueError("element already scheduled")
     if residual is None:
         residual = ResidualFunction(inst.valuations, realized)
-    gain = sum((p * residual.num(1 << b) for b, p in inst.supports[e]), ZERO)
-    return gain / (residual.den * inst.lengths[e])
+    total, weights = inst.int_weights
+    _, w, pairs = weights[e]
+    return Fraction(w * sum([c * residual.num(bit) for bit, c in pairs]),
+                    residual.den * total)
 
 
 def outcome_sampler(inst: StochasticInstance
@@ -174,9 +179,9 @@ def _check_adaptive_cap(inst: StochasticInstance):
 
 def _expected(inst: StochasticInstance,
               policy: Optional[AdaptivePolicy] = None
-              ) -> Callable[[int, int], tuple[Fraction, Optional[int]]]:
-    """Memoized (scheduled, realized) -> (expected remaining cost, element
-    taken or None at a stop).
+              ) -> tuple[Callable[[int, int], tuple[int, Optional[int]]], int]:
+    """(solve, D): solve is memoized (scheduled, realized) -> (D times the
+    expected remaining cost, element taken or None at a stop), an int.
 
     A step costs length * #uncovered plus the expectation over the
     element's support; a stop charges each uncovered valuation the rest of
@@ -185,18 +190,25 @@ def _expected(inst: StochasticInstance,
     The element taken is the policy's choice or, with no policy, the
     cheapest unscheduled one while anything is uncovered (ties to the
     smallest index), which is backward induction for the optimum.
+    D = prod d_e over inst.int_weights. A state's cost times the product
+    of the unscheduled elements' d_e is an int, so its value is an int
+    divisible by d_e for every scheduled e, and a step on e adds
+    (sum_b c_b * value(child_b)) // d_e exactly.
     """
     _check_adaptive_cap(inst)
     functions, lengths = inst.valuations.functions, inst.lengths
+    weights = inst.int_weights[1]
+    scale = math.prod(d for d, _, _ in weights)
 
     @functools.cache
-    def solve(scheduled: int, realized: int) -> tuple[Fraction, Optional[int]]:
+    def solve(scheduled: int, realized: int) -> tuple[int, Optional[int]]:
         uncovered = sum(1 for f in functions if f.num(realized) < f.den)
 
-        def step(e: int) -> Fraction:
-            return lengths[e] * uncovered + sum(
-                p * solve(scheduled | (1 << e), realized | (1 << b))[0]
-                for b, p in inst.supports[e])
+        def step(e: int) -> int:
+            d, _, pairs = weights[e]
+            return lengths[e] * uncovered * scale + sum(
+                c * solve(scheduled | (1 << e), realized | bit)[0]
+                for bit, c in pairs) // d
 
         if policy is not None:
             e = policy(scheduled, realized)
@@ -208,9 +220,9 @@ def _expected(inst: StochasticInstance,
             return min(((step(e), e) for e in options), key=itemgetter(0))
         left = sum(ln for e, ln in enumerate(lengths)
                    if not scheduled & (1 << e))
-        return Fraction(uncovered * left), None
+        return uncovered * left * scale, None
 
-    return solve
+    return solve, scale
 
 
 def optimal_adaptive(inst: StochasticInstance
@@ -220,9 +232,10 @@ def optimal_adaptive(inst: StochasticInstance
     _expected without a policy; stopping early is never cheaper than the
     horizon charge. The policy reads the choice off the recursion's memo.
     """
-    solve = _expected(inst)
+    solve, scale = _expected(inst)
     total, _ = solve(0, 0)
-    return (lambda scheduled, realized: solve(scheduled, realized)[1]), total
+    return ((lambda scheduled, realized: solve(scheduled, realized)[1]),
+            Fraction(total, scale))
 
 
 def greedy_policy(inst: StochasticInstance) -> AdaptivePolicy:
@@ -262,7 +275,8 @@ def evaluate_policy(inst: StochasticInstance,
                     policy: AdaptivePolicy) -> Fraction:
     """Exact expected total cover time of a policy: _expected's root,
     under the same size caps as optimal_adaptive."""
-    return _expected(inst, policy)(0, 0)[0]
+    solve, scale = _expected(inst, policy)
+    return Fraction(solve(0, 0)[0], scale)
 
 
 def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
@@ -274,8 +288,10 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     greedy_policy, which gives alg_ag_sto's cover times on every outcome
     vector. R_j counts valuations the greedy covers at clock time
     >= ceil(8 alpha) * 2^j, R*_j those the policy covers at time >= 2^j.
-    Each sample is one run of check_decay: a level passes when the empirical
-    means satisfy E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three standard
+    Each sample is one run of check_decay; its counts run uncovered_at once
+    per distinct (greedy, reference) pair of cover times and expand them by
+    sample. A level passes when the empirical means satisfy
+    E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three standard
     errors of the per-outcome difference, decided on integer sums. No clock
     time, the never-covered charge included, exceeds the horizon
     total_length, so the scan stops at the first level past it. Returns
@@ -289,13 +305,16 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     if greedy is None:
         greedy = greedy_policy(inst)
     draw, greedy_runs, policy_runs = outcome_sampler(inst), {}, {}
-    times = [(policy_cover_times(inst, greedy, w, greedy_runs),
-              policy_cover_times(inst, policy, w, policy_runs))
-             for w in (draw(rng) for _ in range(samples))]
+    pairs: dict = {}   # distinct (greedy, reference) cover times -> index
+    keys = [pairs.setdefault((policy_cover_times(inst, greedy, w, greedy_runs),
+                              policy_cover_times(inst, policy, w, policy_runs)),
+                             len(pairs))
+            for w in (draw(rng) for _ in range(samples))]
 
     def counts(t: int, t_star: int) -> list[tuple[int, int]]:
-        return [(uncovered_at(ct, t), uncovered_at(ct_star, t_star))
-                for ct, ct_star in times]
+        level = [(uncovered_at(ct, t), uncovered_at(ct_star, t_star))
+                 for ct, ct_star in pairs]
+        return list(map(level.__getitem__, keys))
 
     ok, sums = check_decay(counts, checkpoint_base(inst.valuations.alpha),
                            inst.total_length)

@@ -23,6 +23,9 @@ from latcov import cli
 from latcov.errors import Infeasible, size_cap
 from latcov.instances import serial
 from latcov.instances.generators import GEN_CAP, random_valuations
+from latcov.instances.stoch import StochasticInstance
+from latcov.instances.trees import GroupedTree
+from latcov.instances.valuations import ValuationSet
 from latcov.ranking import alg_ag
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -464,6 +467,52 @@ def test_tree_header_longer_than_file_is_bad_input(tmp_path, capsys):
     assert cli.main(["lcst", "--tree", str(path)]) == 2
     err = capsys.readouterr().err
     assert "TREE" in err and "Traceback" not in err
+
+
+def test_mlsc_vertex_counts_must_agree(tmp_path, capsys):
+    # more metric vertices than valuation points ended in an IndexError
+    # traceback; fewer gave an exit-0 record
+    cases = {
+        "wide": ("METRIC 3 0\n0 1 1\n1 0 1\n1 1 0\n"
+                 "VALUATIONS 1 2 explicit 1/2\nexplicit 0/1 1/2 1/2 1/1\n",
+                 3, 2),
+        "narrow": ("METRIC 2 0\n0 1\n1 0\n"
+                   "VALUATIONS 1 3 singlegroup 1/1\nwtc 1 ; 1/1 : 1:1/1\n",
+                   2, 3),
+    }
+    for name, (body, n_metric, n_vals) in cases.items():
+        path = tmp_path / f"{name}.lcov"
+        path.write_text("LATCOV v1 mlsc\n" + body + "END\n")
+        src = ["--in", str(path)]
+        for argv in (["sop", *src], ["sop", *src, "--solver", "exact"],
+                     ["sop", *src, "--oracle"], ["mlsc", *src],
+                     ["lcst", *src]):
+            assert cli.main(argv) == 2, (name, argv)
+            captured = capsys.readouterr()
+            assert captured.out == "", (name, argv)
+            assert f"METRIC has {n_metric} vertices" in captured.err
+            assert f"VALUATIONS has n={n_vals}" in captured.err
+            assert "Traceback" not in captured.err
+
+
+def test_empty_sections_are_refused_by_name(tmp_path, capsys):
+    # each used to exit 2 only through "max() arg is an empty sequence"
+    vals = "VALUATIONS 1 2 coverage 1/1\nwtc 1 ; 1/1 : 0:1/1 1:1/1\n"
+    cases = [("wssr", vals + "STOCHASTIC 0 2\n", "supports"),
+             ("wssr", vals + "STOCHASTIC -3 2\n", "STOCHASTIC element count"),
+             ("lcst", "TREE 1 0\nGROUPS 0\n", "groups")]
+    for i, (kind, body, field) in enumerate(cases):
+        path = tmp_path / f"empty{i}.lcov"
+        path.write_text(f"LATCOV v1 {kind}\n{body}END\n")
+        for extra in ([], ["--oracle"]) if kind == "wssr" else ([],):
+            argv = [kind, "--in", str(path), *extra]
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert field in err and "max()" not in err, (argv, err)
+    with pytest.raises(ValueError, match="supports"):
+        StochasticInstance(2, (), (), ValuationSet.coverage(2, [[0]]))
+    with pytest.raises(ValueError, match="groups"):
+        GroupedTree((None,), (0,), 0, (), ())
 
 
 def test_valuations_header_is_capped(tmp_path, capsys):

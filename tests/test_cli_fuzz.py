@@ -9,6 +9,7 @@ Derandomized, so every run draws the same examples.
 import contextlib
 import io
 import os
+import tempfile
 
 import pytest
 
@@ -19,6 +20,8 @@ from latcov import cli  # noqa: E402
 from latcov.instances import (Instance, dumps, loads,  # noqa: E402
                               random_instance)
 from latcov.instances.generators import random_valuations  # noqa: E402
+from latcov.instances.metrics import uniform_metric  # noqa: E402
+from latcov.instances.valuations import ValuationSet  # noqa: E402
 from latcov.lcst.mincut import CutQuery, min_cut_with_exceptions  # noqa: E402
 from test_lcst_cuts import brute_min_cut, check_cut  # noqa: E402
 
@@ -86,6 +89,56 @@ def test_loads_accepts_or_raises_value_error(which, edits):
         loads(text)
     except ValueError:
         pass
+
+
+# mlsc texts whose METRIC and VALUATIONS sizes disagree, one each way: no
+# edit reaches them from TEXTS, since a bumped VALUATIONS n no longer
+# matches its explicit table or its term members
+MISMATCHED = [
+    dumps(Instance("mlsc", metric=uniform_metric(4),
+                   valuations=random_valuations("explicit", 3, 1))),
+    dumps(Instance("mlsc", metric=uniform_metric(3),
+                   valuations=ValuationSet.singlegroup(4, [[3], [0, 1]],
+                                                       [1, 2]))),
+]
+# the commands that accept each instance kind, sampling kept small
+KIND_COMMANDS = {
+    "ranking": (["rank"], ["rank", "--oracle"]),
+    "mlsc": (["sop"], ["sop", "--solver", "exact"], ["sop", "--oracle"],
+             ["mlsc"], ["mlsc", "--oracle"], ["lcst"]),
+    "lcst": (["lcst"],),
+    "wssr": (["wssr", "--samples", "20"],
+             ["wssr", "--samples", "20", "--oracle"]),
+}
+
+
+# mostly bumps, which keep more texts loadable than the loader's edits
+COMMAND_EDITS = st.tuples(st.sampled_from(("bump",) * 3 + ("drop",)),
+                          st.integers(0, 40), st.integers(0, 40),
+                          st.integers(-2, 2))
+
+
+@settings(derandomize=True, max_examples=400, deadline=10_000)
+@given(which=st.integers(0, len(TEXTS) + len(MISMATCHED) - 1),
+       edits=st.lists(COMMAND_EDITS, min_size=1, max_size=2))
+def test_loaded_texts_keep_exit_contract_in_every_command(which, edits):
+    text = _mutate((TEXTS + MISMATCHED)[which], edits)
+    try:
+        kind = loads(text).kind
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.lcov")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        for cmd, *extra in KIND_COMMANDS[kind]:
+            argv = [cmd, "--in", path, *extra]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2, 3), (argv, text)
+            assert "Traceback" not in err.getvalue(), (argv, text)
 
 
 # every genspec kind, with the commands that accept its instance kind

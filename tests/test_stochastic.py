@@ -2,12 +2,14 @@
 policy evaluation, reductions, and the Monte-Carlo checkpoint lemma."""
 
 import csv
+import functools
 import gc
 import io
 import math
 import random
 import weakref
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -16,8 +18,8 @@ from latcov.errors import CapExceeded
 from latcov.instances.generators import random_instance
 from latcov.instances.stoch import StochasticInstance
 from latcov.instances.valuations import ValuationSet
-from latcov.ranking import (ResidualFunction, alg_ag, checkpoint_base,
-                            uncovered_at)
+from latcov.ranking import (ResidualFunction, alg_ag, check_decay,
+                            checkpoint_base, uncovered_at)
 from latcov.stochastic import (RealizedSchedule, alg_ag_sto,
                                check_sto_recurrence, evaluate_policy,
                                greedy_policy, optimal_adaptive,
@@ -776,3 +778,174 @@ def test_support_points_prepared_once():
     # point is checked all the same
     with pytest.raises(ValueError, match="not in element 1's support"):
         alg_ag_sto(inst, (0, 0), greedy, runs)
+
+
+# ---- integer kernels against their Fraction forms ----------------------------
+
+def reference_score(inst, scheduled, realized, e):
+    """Test-only copy of sto_residual_score's Fraction body: one Fraction
+    product and sum per support point."""
+    if scheduled & (1 << e):
+        raise ValueError("element already scheduled")
+    residual = ResidualFunction(inst.valuations, realized)
+    gain = sum((p * residual.num(1 << b) for b, p in inst.supports[e]),
+               Fraction(0))
+    return gain / (residual.den * inst.lengths[e])
+
+
+def reference_expected(inst, policy=None):
+    """Test-only copy of _expected's Fraction recursion: (scheduled,
+    realized) -> (expected remaining cost, element taken or None)."""
+    stochastic._check_adaptive_cap(inst)
+    functions, lengths = inst.valuations.functions, inst.lengths
+
+    @functools.cache
+    def solve(scheduled, realized):
+        uncovered = sum(1 for f in functions if f.num(realized) < f.den)
+
+        def step(e):
+            return lengths[e] * uncovered + sum(
+                p * solve(scheduled | (1 << e), realized | (1 << b))[0]
+                for b, p in inst.supports[e])
+
+        if policy is not None:
+            e = policy(scheduled, realized)
+            options = () if e is None else (e,)
+        else:
+            options = [e for e in range(inst.n)
+                       if uncovered and not scheduled & (1 << e)]
+        if options:
+            return min(((step(e), e) for e in options), key=itemgetter(0))
+        left = sum(ln for e, ln in enumerate(lengths)
+                   if not scheduled & (1 << e))
+        return Fraction(uncovered * left), None
+
+    return solve
+
+
+def reference_sto_recurrence(inst, policy, samples, seed):
+    """Test-only copy of check_sto_recurrence keeping one (greedy,
+    reference) cover-time pair per sample and counting each sample."""
+    rng = random.Random(f"wssr-mc:{seed}")
+    greedy = greedy_policy(inst)
+    draw, greedy_runs, policy_runs = outcome_sampler(inst), {}, {}
+    times = [(policy_cover_times(inst, greedy, w, greedy_runs),
+              policy_cover_times(inst, policy, w, policy_runs))
+             for w in (draw(rng) for _ in range(samples))]
+
+    def counts(t, t_star):
+        return [(uncovered_at(ct, t), uncovered_at(ct_star, t_star))
+                for ct, ct_star in times]
+
+    ok, sums = check_decay(counts, checkpoint_base(inst.valuations.alpha),
+                           inst.total_length)
+    rows = []
+    dof = max(1, samples - 1)
+    for j, r_j, prev, r_star, ds, dq in sums:
+        mean_d = ds / samples
+        var = (dq / samples - mean_d ** 2) * samples / dof
+        se = math.sqrt(max(0.0, var) / samples) / 4
+        rows.append((j, r_j / samples, prev / samples, r_star / samples, se))
+    return ok, rows
+
+
+def tied_instances():
+    """Derandomized small instances, each with a copy of one element (same
+    support, same length) appended, so every state scores a tie while both
+    are unscheduled. Probabilities have denominators up to 12 and lengths
+    run 1..3, so the kernels' d_e, T and D differ between elements."""
+    rng = random.Random("int-kernels")
+    out = []
+    for _ in range(24):
+        domain = rng.randint(2, 5)
+        supports, lengths = [], []
+        for _ in range(rng.randint(2, 3)):
+            pts = sorted(rng.sample(range(domain), rng.randint(1, 3)
+                                    if domain >= 3 else 1))
+            weights = [rng.randint(1, 4) for _ in pts]
+            supports.append(tuple((b, Fraction(w, sum(weights)))
+                                  for b, w in zip(pts, weights)))
+            lengths.append(rng.randint(1, 3))
+        twin = rng.randrange(len(supports))
+        supports.append(supports[twin])
+        lengths.append(lengths[twin])
+        groups = [sorted(rng.sample(range(domain), rng.randint(1, domain)))
+                  for _ in range(rng.randint(1, 3))]
+        reqs = [rng.randint(1, len(g)) for g in groups]
+        out.append(StochasticInstance(
+            domain, tuple(supports), tuple(lengths),
+            ValuationSet.singlegroup(domain, groups, reqs)))
+    return out
+
+
+def knowledge_states(inst):
+    """Every (scheduled, realized) pair some outcome reaches, in order."""
+    seen, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        scheduled, realized = frontier.pop()
+        for e in range(inst.n):
+            if not scheduled >> e & 1:
+                for b, _ in inst.supports[e]:
+                    state = (scheduled | 1 << e, realized | 1 << b)
+                    if state not in seen:
+                        seen.add(state)
+                        frontier.append(state)
+    return sorted(seen)
+
+
+def test_integer_scores_match_fraction_form():
+    ties = 0
+    for inst in c13_fixtures() + tied_instances():
+        total, weights = inst.int_weights
+        for (d, w, pairs), supp, length in zip(weights, inst.supports,
+                                               inst.lengths):
+            assert d * length * w == total
+            for (bit, c), (b, p) in zip(pairs, supp, strict=True):
+                assert (bit, Fraction(w * c, total)) == (1 << b, p / length)
+        rule = greedy_policy(inst)
+        for scheduled, realized in knowledge_states(inst):
+            residual = ResidualFunction(inst.valuations, realized)
+            free = [e for e in range(inst.n) if not scheduled >> e & 1]
+            want = [reference_score(inst, scheduled, realized, e)
+                    for e in free]
+            for shared in ({}, {"residual": residual}):
+                got = [sto_residual_score(inst, scheduled, realized, e,
+                                          **shared) for e in free]
+                assert got == want
+                assert all(type(g) is Fraction for g in got)
+            best = None
+            if free and residual.uncovered:
+                best = free[want.index(max(want))]
+                ties += want.count(max(want)) > 1
+            assert rule(scheduled, realized) == best
+    assert ties > 100
+
+
+def test_integer_expected_costs_match_fraction_form():
+    for inst in c13_fixtures() + tied_instances():
+        optimal, total = optimal_adaptive(inst)
+        assert type(total) is Fraction
+        assert total == reference_expected(inst)(0, 0)[0]
+        for name, policy in [("none", None),
+                             *pinned_policies(inst, optimal).items()]:
+            solve, scale = stochastic._expected(inst, policy)
+            ref = reference_expected(inst, policy)
+            for state in knowledge_states(inst):
+                value, e = solve(*state)
+                want, want_e = ref(*state)
+                assert type(value) is int, (name, state)
+                assert (Fraction(value, scale), e) == (want, want_e), \
+                    (name, state)
+                if policy is None:
+                    assert optimal(*state) == want_e, state
+            if policy is not None:
+                assert evaluate_policy(inst, policy) == ref(0, 0)[0]
+
+
+def test_recurrence_counts_match_per_sample_pairs():
+    for inst in c13_fixtures() + tied_instances():
+        optimal, _ = optimal_adaptive(inst)
+        for policy in pinned_policies(inst, optimal).values():
+            for samples, seed in ((1, 0), (2, 1), (80, 5)):
+                assert check_sto_recurrence(inst, policy, samples, seed) == \
+                    reference_sto_recurrence(inst, policy, samples, seed)
