@@ -16,7 +16,7 @@ from ..errors import CapExceeded, size_cap
 from .metrics import GridPoints, Metric, uniform_metric
 from .stoch import StochasticInstance
 from .trees import GroupedTree, normalize
-from .valuations import SUBMODULAR_CAP, ValuationSet
+from .valuations import SUBMODULAR_CAP, ExplicitFunction, ValuationSet
 
 KINDS = ("uniform-metric", "euclidean-grid-metric", "random-tree",
          "random-groups", "random-stochastic")
@@ -86,8 +86,9 @@ def _styled_valuations(rng: random.Random, style: str, n: int,
         raise CapExceeded(f"explicit valuation tables capped at "
                           f"n={size_cap(SUBMODULAR_CAP)}, got n={n}")
     base = ValuationSet.multicoverage(n, groups, reqs).functions[0]
-    table = [base.value(mask) for mask in range(1 << n)]
-    return ValuationSet.explicit(n, [table])
+    nums = [base.num(mask) for mask in range(1 << n)]
+    return ValuationSet(n, [ExplicitFunction.from_nums(n, nums, base.den)],
+                        "explicit")
 
 
 def random_instance(kind: str, n: int, seed: int) -> Instance:

@@ -22,6 +22,7 @@ round-trips byte-identically.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import CapExceeded, size_cap
@@ -39,13 +40,22 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rat(tok: str) -> Fraction:
+def _ratio(p: int, q: int) -> str:   # _rat(Fraction(p, q)) for q > 0
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"
+
+
+def _parse_pq(tok: str) -> tuple[int, int]:   # q > 0, not reduced
     if "/" not in tok:
         raise ValueError(f"rational must be written p/q, got {tok!r}")
     p, q = (int(t) for t in tok.split("/", 1))
     if q == 0:
         raise ValueError(f"rational has a zero denominator: {tok!r}")
-    return Fraction(p, q)
+    return (-p, -q) if q < 0 else (p, q)
+
+
+def parse_rat(tok: str) -> Fraction:
+    return Fraction(*_parse_pq(tok))
 
 
 def _count(tok: str, field: str) -> int:
@@ -102,7 +112,8 @@ def _dump_valuations(out: list[str], vs: ValuationSet):
     out.append(f"VALUATIONS {vs.m} {vs.n} {vs.kind} {_rat(vs.epsilon)}")
     for f in vs.functions:
         if isinstance(f, ExplicitFunction):
-            out.append("explicit " + " ".join(_rat(v) for v in f.table))
+            out.append("explicit " + " ".join(
+                _ratio(f.num(mask), f.den) for mask in range(1 << f.n)))
         else:
             parts = [f"wtc {len(f.terms)}"]
             for t in f.terms:
@@ -225,8 +236,12 @@ def loads(text: str) -> Instance:
 def _parse_function(line: str, n: int):
     toks = line.split() or [""]
     if toks[0] == "explicit":
-        table = [parse_rat(t) for t in toks[1:]]
-        return ExplicitFunction(n, table)
+        pairs = [_parse_pq(t) for t in toks[1:]]
+        den = math.lcm(*(q for _, q in pairs))
+        nums = [p * (den // q) for p, q in pairs]
+        if nums and (min(nums) < 0 or max(nums) > den):
+            raise ValueError("explicit table values must lie in [0, 1]")
+        return ExplicitFunction.from_nums(n, nums, den)
     if toks[0] != "wtc":
         raise ValueError(f"unknown function encoding {toks[0]!r}")
     chunks = line.split(" ; ")

@@ -8,7 +8,7 @@ rest of the library needs:
   f(S) = sum_t w_t * min(1, sum_{e in g_t cap S} u_{t,e}).
   The classic kinds (set cover, coverage with requirements, one group per
   function) are all instances with uniform unit credits u = 1/k.
-* ``ExplicitFunction`` -- a value table over all 2^n subsets.
+* ``ExplicitFunction`` -- a value table over all 2^n subsets, in ints.
 
 ``ResidualFunction`` is the one residual valuation, f^S(T) = sum over f_i
 uncovered at S of (f_i(S u T) - f_i(S)) / (1 - f_i(S)). The ranking greedy,
@@ -115,22 +115,34 @@ class CoverFunction:
 class ExplicitFunction:
     """Valuation given as a table over all 2^n subsets."""
 
-    __slots__ = ("n", "table", "den", "_nums")
+    __slots__ = ("n", "den", "_nums")
 
     def __init__(self, n: int, table: Sequence[Fraction]):
-        if len(table) != 1 << n:
+        table = [Fraction(v) for v in table]
+        den = math.lcm(*(v.denominator for v in table))
+        self._fill(n, [v.numerator * (den // v.denominator) for v in table],
+                   den)
+
+    @classmethod
+    def from_nums(cls, n: int, nums: Sequence[int], den: int):
+        """The table nums[mask] / den over den // gcd(den, *nums), the lcm
+        of the reduced denominators, as the table constructor has it."""
+        fn = cls.__new__(cls)
+        fn._fill(n, nums, den)
+        return fn
+
+    def _fill(self, n: int, nums: Sequence[int], den: int):
+        if len(nums) != 1 << n:
             raise ValueError("table must have 2^n entries")
-        self.n = n
-        self.table = tuple(Fraction(v) for v in table)
-        self.den = math.lcm(*(v.denominator for v in self.table))
-        self._nums = tuple(v.numerator * (self.den // v.denominator)
-                           for v in self.table)
+        g = math.gcd(den, *nums)
+        self.n, self.den = n, den // g
+        self._nums = tuple(x // g for x in nums)
 
     def num(self, mask: int) -> int:
         return self._nums[mask]
 
     def value(self, mask: int) -> Fraction:
-        return self.table[mask]
+        return Fraction(self._nums[mask], self.den)
 
 
 class ResidualFunction:

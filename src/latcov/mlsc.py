@@ -9,7 +9,6 @@ valuations of the prefix distance at which each first reaches value 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from .errors import CapExceeded, Uncoverable, size_cap
 from .instances.metrics import Metric
 from .instances.valuations import ResidualFunction, ValuationSet
 from .orienteering import SopQuery, SopResult
-from .ranking import check_decay, uncovered_at
+from .ranking import check_decay, uncovered_at, uncovered_counts
 
 LATENCY_CAP = 7
 
@@ -146,23 +145,32 @@ def brute_force_latency(metric: Metric, vs: ValuationSet) -> LatencyTour:
     """Exact minimizer of the summed cover times over root-started paths.
 
     Optimal walks may be taken vertex-simple (shortcutting repeats never
-    delays an arrival), so enumerating permutations of the non-root vertices
-    is exhaustive. Ties resolve to the lexicographically smallest walk.
+    delays an arrival). A walk's objective sums d(v_{k-1}, v_k) times the
+    number of valuations uncovered at {v_0..v_{k-1}}, so a DP over (visited
+    set, last vertex) minimizes it over all orders of the non-root vertices.
+    Each step takes the smallest next vertex that keeps the optimum, which
+    gives the lexicographically smallest optimal walk.
     """
     n = metric.n
     if n > size_cap(LATENCY_CAP):
         raise CapExceeded(f"brute_force_latency capped at n={LATENCY_CAP}")
     if vs.n != n:
         raise ValueError("valuations and metric disagree on the vertex count")
-    r = metric.root
-    others = [v for v in range(n) if v != r]
-    best: LatencyTour | None = None
-    for perm in itertools.permutations(others):
-        tour = LatencyTour.from_walk(metric, vs, (r,) + perm)
-        if (best is None or tour.objective < best.objective
-                or (tour.objective == best.objective and tour.walk < best.walk)):
-            best = tour
-    return best
+    d, uncovered = metric.dist, uncovered_counts(vs)
+    best = [[0] * n for _ in range(1 << n)]   # cost still to come at (S, v)
+
+    def moves(mask: int, v: int) -> list[tuple[int, int]]:
+        return [(d[v][u] * uncovered[mask] + best[mask | 1 << u][u], u)
+                for u in range(n) if not mask >> u & 1]
+
+    for mask in range((1 << n) - 2, 0, -1):
+        for v in range(n):
+            if mask >> v & 1:
+                best[mask][v] = min(moves(mask, v))[0]
+    walk = [metric.root]
+    while len(walk) < n:
+        walk.append(min(moves(sum(1 << v for v in walk), walk[-1]))[1])
+    return LatencyTour.from_walk(metric, vs, walk)
 
 
 def check_mlsc_recurrence(tour: LatencyTour, log: PhaseLog, opt: LatencyTour,

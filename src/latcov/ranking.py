@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded, size_cap
-from .instances.valuations import ResidualFunction, ValuationSet, ZERO
+from .instances.valuations import ResidualFunction, ValuationSet
 
 RANKING_CAP = 8
 
@@ -51,7 +51,7 @@ def alg_ag(vs: ValuationSet) -> Ordering:
     return _ordering(vs, perm)
 
 
-def _uncovered_counts(vs: ValuationSet) -> list[int]:
+def uncovered_counts(vs: ValuationSet) -> list[int]:
     """#uncovered valuations per subset mask, for all 2^n masks."""
     n = vs.n
     counts = [0] * (1 << n)
@@ -75,29 +75,20 @@ def brute_force_ranking(vs: ValuationSet) -> Ordering:
     n = vs.n
     if n > size_cap(RANKING_CAP):
         raise CapExceeded(f"brute_force_ranking capped at n={RANKING_CAP}")
-    counts = _uncovered_counts(vs)
-    full = (1 << n) - 1
+    counts = uncovered_counts(vs)
     best = [0] * (1 << n)
-    for mask in range(full, -1, -1):
+    for mask in range((1 << n) - 1, -1, -1):
         if counts[mask] == 0:
             continue  # monotone: all supersets covered too, future cost 0
         tail = min(best[mask | (1 << e)]
                    for e in range(n) if not mask & (1 << e))
         best[mask] = counts[mask] + tail
-    perm: list[int] = []
-    mask = 0
+    perm, mask = [], 0
     while len(perm) < n:
-        choice = None
-        if counts[mask] == 0:
-            choice = next(e for e in range(n) if not mask & (1 << e))
-        else:
-            target = best[mask] - counts[mask]
-            for e in range(n):
-                if not mask & (1 << e) and best[mask | (1 << e)] == target:
-                    choice = e
-                    break
-        perm.append(choice)
-        mask |= 1 << choice
+        free = [e for e in range(n) if not mask >> e & 1]
+        e = min(free, key=lambda e: best[mask | 1 << e] if counts[mask] else 0)
+        perm.append(e)
+        mask |= 1 << e
     return _ordering(vs, perm)
 
 
@@ -114,17 +105,18 @@ def check_log_claim(fn, chain: Sequence[int]) -> Fraction:
     `chain` is a nested sequence of subset masks; the caller asserts the
     result against 1 + ln(1/delta) for delta the smallest nonzero marginal.
     """
+    top, bottom = 0, 1   # the running sum as ints, over the gaps' lcm
     for a, b in zip(chain, chain[1:]):
         if a & ~b:
             raise ValueError("chain must be nested")
-    total = ZERO
-    for a, b in zip(chain, chain[1:]):
-        fa = fn.value(a)
-        gap = 1 - fa
+        base = fn.num(a)
+        gap = fn.den - base
         if gap == 0:
             continue  # numerator is 0 too for monotone f bounded by 1
-        total += (fn.value(b) - fa) / gap
-    return total
+        lcm = math.lcm(bottom, gap)
+        top = top * (lcm // bottom) + (fn.num(b) - base) * (lcm // gap)
+        bottom = lcm
+    return Fraction(top, bottom)
 
 
 def checkpoint_base(alpha: Fraction) -> int:
@@ -143,17 +135,20 @@ def uncovered_at(cover_times: Sequence[int], t) -> int:
 
 
 def check_decay(counts: Callable[[int, int], Sequence[tuple[int, int]]],
-                base: int, horizon: int = 0) -> tuple[bool, list[tuple]]:
+                base: int, horizon: int = 0,
+                weights: Sequence[int] | None = None
+                ) -> tuple[bool, list[tuple]]:
     """Quarter-decay check E|R_j| <= E|R_{j-1}|/4 + E|R*_j| for all j >= 0.
 
     The one level loop of every recurrence check. counts(base << j, 1 << j)
     gives one (R, R*) pair per run: the algorithm's uncovered count at time
-    base * 2^j and the reference's at time 2^j. With R_{-1} = 0, ds and dq
-    sum d = 4 R_j - R_{j-1} - 4 R*_j and d^2 as ints over the k runs; level
-    j fails iff mean d > 3 se, squared and scaled by k^2 max(1, k-1): ds > 0
-    and ds^2 max(1, k-1) > 9 (k dq - ds^2). For k = 1, dq = ds^2, so this is
-    exactly 4 R_j > R_{j-1} + 4 R*_j. The scan stops after the first level
-    past `horizon` on both clocks with every count zero. Returns the verdict
+    base * 2^j and the reference's at time 2^j; `weights` counts each run's
+    copies (1 each by default). With R_{-1} = 0, ds and dq sum d = 4 R_j -
+    R_{j-1} - 4 R*_j and d^2 as ints over the k runs; level j fails iff
+    mean d > 3 se, squared and scaled by k^2 max(1, k-1): ds > 0 and ds^2
+    max(1, k-1) > 9 (k dq - ds^2). For k = 1, dq = ds^2, so this is exactly
+    4 R_j > R_{j-1} + 4 R*_j. The scan stops after the first level past
+    `horizon` on both clocks with every count zero. Returns the verdict
     and rows (j, sum R_j, sum R_{j-1}, sum R*_j, ds, dq).
     """
     if base < 1:
@@ -163,12 +158,13 @@ def check_decay(counts: Callable[[int, int], Sequence[tuple[int, int]]],
     for j in itertools.count():
         pairs = counts(base << j, 1 << j)
         sr = ss = ds = dq = 0
-        for (r, s), p in zip(pairs, prev):
+        for (r, s), p, w in zip(pairs, prev, weights or itertools.repeat(1)):
             d = 4 * r - p - 4 * s
-            sr, ss, ds, dq = sr + r, ss + s, ds + d, dq + d * d
+            wd = w * d
+            sr, ss, ds, dq = sr + w * r, ss + w * s, ds + wd, dq + wd * d
         prev = [r for r, _ in pairs]
         rows.append((j, sr, sp, ss, ds, dq))
-        k = len(pairs)
+        k = sum(weights) if weights else len(pairs)
         if ds > 0 and ds * ds * max(1, k - 1) > 9 * (dq * k - ds * ds):
             ok = False
         if base << j > horizon and 1 << j > horizon and sr == ss == 0:

@@ -31,6 +31,7 @@ import functools
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -288,12 +289,11 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     greedy_policy, which gives alg_ag_sto's cover times on every outcome
     vector. R_j counts valuations the greedy covers at clock time
     >= ceil(8 alpha) * 2^j, R*_j those the policy covers at time >= 2^j.
-    Each sample is one run of check_decay; its counts run uncovered_at once
-    per distinct (greedy, reference) pair of cover times and expand them by
-    sample. A level passes when the empirical means satisfy
-    E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three standard
-    errors of the per-outcome difference, decided on integer sums. No clock
-    time, the never-covered charge included, exceeds the horizon
+    Each distinct (greedy, reference) pair of cover times is one run of
+    check_decay, weighted by its sample count. A level passes when the
+    empirical means satisfy E[R_j] <= E[R_{j-1}]/4 + E[R*_j] within three
+    standard errors of the per-outcome difference, decided on integer sums.
+    No clock time, the never-covered charge included, exceeds the horizon
     total_length, so the scan stops at the first level past it. Returns
     (ok, rows) with rows of (j, mean R_j, mean R_{j-1}, mean R*_j, stderr
     of the difference), floats computed from check_decay's sums.
@@ -305,19 +305,17 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     if greedy is None:
         greedy = greedy_policy(inst)
     draw, greedy_runs, policy_runs = outcome_sampler(inst), {}, {}
-    pairs: dict = {}   # distinct (greedy, reference) cover times -> index
-    keys = [pairs.setdefault((policy_cover_times(inst, greedy, w, greedy_runs),
-                              policy_cover_times(inst, policy, w, policy_runs)),
-                             len(pairs))
-            for w in (draw(rng) for _ in range(samples))]
+    tally = Counter(   # distinct (greedy, reference) cover times
+        (policy_cover_times(inst, greedy, w, greedy_runs),
+         policy_cover_times(inst, policy, w, policy_runs))
+        for w in (draw(rng) for _ in range(samples)))
 
     def counts(t: int, t_star: int) -> list[tuple[int, int]]:
-        level = [(uncovered_at(ct, t), uncovered_at(ct_star, t_star))
-                 for ct, ct_star in pairs]
-        return list(map(level.__getitem__, keys))
+        return [(uncovered_at(ct, t), uncovered_at(ct_star, t_star))
+                for ct, ct_star in tally]
 
     ok, sums = check_decay(counts, checkpoint_base(inst.valuations.alpha),
-                           inst.total_length)
+                           inst.total_length, list(tally.values()))
     rows = []
     dof = max(1, samples - 1)
     for j, r_j, prev, r_star, ds, dq in sums:

@@ -515,6 +515,22 @@ def test_empty_sections_are_refused_by_name(tmp_path, capsys):
         GroupedTree((None,), (0,), 0, (), ())
 
 
+OUT_OF_RANGE_TABLE = ("LATCOV v1 ranking\nVALUATIONS 1 2 explicit 1/2\n"
+                      "explicit 0/1 3/2 -1/2 1/1\nEND\n")
+
+
+def test_explicit_values_outside_unit_interval_are_refused(tmp_path, capsys):
+    # values 3/2 and -1/2 loaded, and both commands gave an exit-0 record
+    path = tmp_path / "range.lcov"
+    path.write_text(OUT_OF_RANGE_TABLE)
+    for extra in ([], ["--oracle"]):
+        argv = ["rank", "--in", str(path), *extra]
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "explicit table values must lie in [0, 1]" in captured.err
+
+
 def test_valuations_header_is_capped(tmp_path, capsys):
     # one coverable function over 100000 elements: ranking ran on (past 15 s)
     path = tmp_path / "wide.lcov"

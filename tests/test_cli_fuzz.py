@@ -101,6 +101,10 @@ MISMATCHED = [
                    valuations=ValuationSet.singlegroup(4, [[3], [0, 1]],
                                                        [1, 2]))),
 ]
+# a ranking table with values outside [0, 1], which the loader refuses
+OUT_OF_RANGE = ["LATCOV v1 ranking\nVALUATIONS 1 2 explicit 1/2\n"
+                "explicit 0/1 3/2 -1/2 1/1\nEND\n"]
+SEEDS = TEXTS + MISMATCHED + OUT_OF_RANGE
 # the commands that accept each instance kind, sampling kept small
 KIND_COMMANDS = {
     "ranking": (["rank"], ["rank", "--oracle"]),
@@ -119,10 +123,10 @@ COMMAND_EDITS = st.tuples(st.sampled_from(("bump",) * 3 + ("drop",)),
 
 
 @settings(derandomize=True, max_examples=400, deadline=10_000)
-@given(which=st.integers(0, len(TEXTS) + len(MISMATCHED) - 1),
+@given(which=st.integers(0, len(SEEDS) - 1),
        edits=st.lists(COMMAND_EDITS, min_size=1, max_size=2))
 def test_loaded_texts_keep_exit_contract_in_every_command(which, edits):
-    text = _mutate((TEXTS + MISMATCHED)[which], edits)
+    text = _mutate(SEEDS[which], edits)
     try:
         kind = loads(text).kind
     except ValueError:

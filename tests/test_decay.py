@@ -43,3 +43,27 @@ def test_one_run_verdict_and_stop_level(rs, ss, base, horizon):
 
     last = rows[-1][0]
     assert done(last) and not any(done(j) for j in range(last))
+
+
+RUNS = st.lists(st.tuples(COUNTS, COUNTS, st.integers(1, 5)), min_size=1,
+                max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(runs=RUNS, base=st.integers(1, 9), horizon=st.integers(0, 600))
+def test_weighted_runs_match_repeated_runs(runs, base, horizon):
+    # a run of weight w gives the same sums and verdict as w copies of it
+    def at(seq, j):
+        return seq[j] if j < len(seq) else 0
+
+    def counts_of(seqs):
+        def counts(t, t_star):
+            j = t_star.bit_length() - 1
+            return [(at(rs, j), at(ss, j)) for rs, ss in seqs]
+        return counts
+
+    distinct = [(rs, ss) for rs, ss, _ in runs]
+    copies = [(rs, ss) for rs, ss, w in runs for _ in range(w)]
+    assert check_decay(counts_of(distinct), base, horizon,
+                       [w for _, _, w in runs]) == \
+        check_decay(counts_of(copies), base, horizon)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,11 @@ from latcov.instances import (CoverFunction, CoverTerm, ExplicitFunction,
                               compute_epsilon, dumps, loads,
                               metric_closure, min_nonzero_marginal,
                               normalize, random_instance, uniform_metric)
+from latcov.cli import parse_genspec
+from latcov.instances.serial import parse_rat
 from util import cover_times, pairwise_submodular
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_metric_validation():
@@ -161,6 +166,17 @@ def test_roundtrip_all_kinds():
             inst = random_instance(kind, 6, seed)
             text = dumps(inst)
             assert dumps(loads(text)) == text
+    for path in sorted(FIXTURES.glob("*.lcov")):
+        text = path.read_text()
+        assert dumps(loads(text)) == text, path.name
+    # explicit tables at the benchmark's sizes: the ranking oracle's n=8
+    # and the n=12 grid whose one valuation is explicit
+    for spec in ("explicit:n=8:seed=0", "explicit:n=8:seed=1",
+                 "grid:n=12:seed=0"):
+        inst = parse_genspec(spec)
+        assert inst.valuations.kind == "explicit", spec
+        text = dumps(inst)
+        assert dumps(loads(text)) == text, spec
 
 
 def test_loads_rejects_decimals_and_junk():
@@ -276,6 +292,46 @@ def test_explicit_function_num_den_round_trip():
         for mask, v in enumerate(table):
             assert type(f.num(mask)) is int
             assert Fraction(f.num(mask), f.den) == f.value(mask) == v
+
+
+def test_from_nums_matches_fraction_table():
+    for seed in range(30):
+        rng = random.Random(f"from-nums:{seed}")
+        n = rng.randint(0, 5)
+        den = rng.choice((1, 4, 6, 12, 35))
+        nums = [rng.randint(0, den) * rng.choice((1, 2, 3))
+                for _ in range(1 << n)]
+        scale = rng.choice((1, 2, 3))   # an unreduced den reduces back
+        f = ExplicitFunction.from_nums(n, [x * scale for x in nums],
+                                       den * scale)
+        g = ExplicitFunction(n, [Fraction(x, den) for x in nums])
+        assert (f.n, f.den) == (g.n, g.den)
+        for mask in range(1 << n):
+            assert type(f.num(mask)) is int
+            assert f.num(mask) == g.num(mask)
+            assert f.value(mask) == g.value(mask) == Fraction(nums[mask], den)
+
+
+def test_loader_reads_noncanonical_explicit_entries_as_parse_rat():
+    toks = ["2/4", "3/-6", "-0/5", "1_0/4", "-3/-6", "0/-5", "1_0/40",
+            "+6/8", "9/12", "5/5"]
+    want = [parse_rat(t) for t in toks]
+    assert want[:4] == [Fraction(1, 2), Fraction(-1, 2), 0, Fraction(5, 2)]
+    # values outside [0, 1] are refused in files, so feed them one at a time
+    # next to canonical entries; the table's den is the reduced lcm
+    for i, tok in enumerate(toks):
+        table = ["0/1", tok, "1/3", "1/1"]
+        text = ("LATCOV v1 ranking\nVALUATIONS 1 2 explicit 1/3\n"
+                f"explicit {' '.join(table)}\nEND\n")
+        if not 0 <= want[i] <= 1:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                loads(text)
+            continue
+        f = loads(text).valuations.functions[0]
+        ref = ExplicitFunction(2, [parse_rat(t) for t in table])
+        assert f.den == ref.den
+        assert [f.num(m) for m in range(4)] == [ref.num(m) for m in range(4)]
+        assert f.value(1) == want[i]
 
 
 def fraction_min_nonzero_marginal(fn, n):

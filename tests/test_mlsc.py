@@ -1,5 +1,6 @@
 """Latency cover walks: phase construction, exact oracle, decay recurrence."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,38 @@ def test_brute_force_uniform_matches_ranking_objective():
         latency = brute_force_latency(inst.metric, inst.valuations)
         ranking = brute_force_ranking(inst.valuations)
         assert latency.objective == ranking.objective
+
+
+def permutation_latency(metric, vs):
+    """Test-only copy of the permutation scan brute_force_latency replaced:
+    every order of the non-root vertices, ties to the smallest walk.
+    Returns the best tour and how many walks attain its objective."""
+    r = metric.root
+    others = [v for v in range(metric.n) if v != r]
+    best, ties = None, 0
+    for perm in itertools.permutations(others):
+        tour = LatencyTour.from_walk(metric, vs, (r,) + perm)
+        if best is None or tour.objective < best.objective:
+            best, ties = tour, 1
+        elif tour.objective == best.objective:
+            ties += 1
+            best = min(best, tour, key=lambda t: t.walk)
+    return best, ties
+
+
+def test_subset_dp_matches_permutation_scan():
+    one = (metric_from_matrix([[0]]), ValuationSet.singlegroup(1, [[0]], [1]))
+    assert brute_force_latency(*one) == permutation_latency(*one)[0]
+    tied = 0
+    for kind in ("uniform-metric", "euclidean-grid-metric"):
+        for n in range(2, 8):
+            for seed in range(40):
+                inst = random_instance(kind, n, seed)
+                want, ties = permutation_latency(inst.metric, inst.valuations)
+                got = brute_force_latency(inst.metric, inst.valuations)
+                assert got == want, (kind, n, seed)
+                tied += ties > 1
+    assert tied > 100
 
 
 def test_brute_force_cap():

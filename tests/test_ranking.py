@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from latcov.instances import (CoverFunction, ValuationSet, check_submodular,
-                              random_instance)
+from latcov.instances import (CoverFunction, ExplicitFunction, ValuationSet,
+                              check_submodular, random_instance)
 from latcov.instances.generators import STYLES, random_valuations
 from latcov.mlsc import ResidualValuation
 from latcov.ranking import (ResidualFunction, alg_ag, brute_force_ranking,
@@ -156,6 +157,39 @@ def test_check_log_claim_random_chains_bounded():
                 chain.append(mask)
             total = check_log_claim(f, chain)
             assert float(total) <= 1 + math.log(1 / vs.epsilon) + 1e-9
+
+
+def fraction_log_claim(fn, chain):
+    """Test-only copy of check_log_claim as a sum of Fractions."""
+    total = Fraction(0)
+    for a, b in zip(chain, chain[1:]):
+        fa = fn.value(a)
+        gap = 1 - fa
+        if gap == 0:
+            continue
+        total += (fn.value(b) - fa) / gap
+    return total
+
+
+def test_int_log_claim_matches_fraction_sum():
+    rng = random.Random("log-claim")
+    for seed in range(60):
+        n = 1 + seed % 6
+        fns = [f for style in STYLES
+               for f in random_valuations(style, n, seed).functions]
+        table = [Fraction(rng.randint(0, 12), rng.choice((1, 5, 12, 13)))
+                 for _ in range(1 << n)]
+        fns.append(ExplicitFunction(n, [min(v, 1) for v in table[:-1]] + [1]))
+        for f in fns:
+            for _ in range(5):
+                chain, mask = [0], 0
+                while mask != (1 << n) - 1:
+                    mask |= rng.getrandbits(n)
+                    chain.append(mask)
+                got = check_log_claim(f, chain)
+                assert type(got) is Fraction
+                assert got == fraction_log_claim(f, chain), (seed, chain)
+    assert check_log_claim(fns[0], [0]) == 0
 
 
 def rerun_recurrence(vs, order, opt, alpha):
