@@ -28,7 +28,7 @@ from fractions import Fraction
 from hashlib import sha256
 
 from .errors import (CapExceeded, Infeasible, SolverStall, Unbounded,
-                     Uncoverable, size_cap)
+                     Uncoverable, check_cap, size_cap)
 from .instances import serial
 from .instances.generators import (GEN_CAP, Instance, random_instance,
                                    random_valuations)
@@ -266,10 +266,15 @@ def _tree_from_metric(inst: Instance, embed_seed: int):
         raise ValueError("lcst embedding needs per-group valuations "
                          "(singlegroup); give a tree instance instead")
     groups, reqs = [], []
-    for fn in vs.functions:
-        term = fn.terms[0]
-        groups.append(term.members)
-        reqs.append(int(Fraction(1) / term.units[0]))
+    for i, fn in enumerate(vs.functions):
+        terms = getattr(fn, "terms", ())
+        units = set(terms[0].units) if len(terms) == 1 else set()
+        if len(units) != 1 or terms[0].weight != 1 or \
+                min(units).numerator != 1:
+            raise ValueError(f"lcst embedding: function {i} is not one "
+                             f"weight-1 term with every unit 1/k")
+        groups.append(terms[0].members)
+        reqs.append(min(units).denominator)
     emb = frt_embed(inst.metric, embed_seed)
     return emb.grouped(groups, reqs)
 
@@ -367,9 +372,7 @@ def _supports(text: str) -> list[tuple[tuple[int, Fraction], ...]]:
 def _domain(args) -> int:
     """--domain, refused past the generators' cap before any valuation
     tabulates 2^domain-sized masks."""
-    if args.domain > size_cap(GEN_CAP):
-        raise CapExceeded(f"--domain capped at n={size_cap(GEN_CAP)}, "
-                          f"got n={args.domain}")
+    check_cap("--domain", args.domain, GEN_CAP)
     return args.domain
 
 

@@ -36,3 +36,10 @@ def size_cap(default: int) -> int:
         return max(int(raw), default)
     except ValueError:
         return default
+
+
+def check_cap(what: str, size: int, default: int, unit: str = "n"):
+    """Refuse `size` past size_cap(default), naming the cap in force."""
+    cap = size_cap(default)
+    if size > cap:
+        raise CapExceeded(f"{what} capped at {unit}={cap}, got {unit}={size}")

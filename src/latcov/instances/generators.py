@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..errors import CapExceeded, size_cap
+from ..errors import check_cap
 from .metrics import GridPoints, Metric, uniform_metric
 from .stoch import StochasticInstance
 from .trees import GroupedTree, normalize
@@ -37,9 +37,7 @@ class Instance:
 def _check_size(n: int):
     if n < 1:
         raise ValueError(f"generator size must be n >= 1, got n={n}")
-    if n > size_cap(GEN_CAP):
-        raise CapExceeded(f"generators capped at n={size_cap(GEN_CAP)}, "
-                          f"got n={n}")
+    check_cap("generators", n, GEN_CAP)
 
 
 def _random_groups(rng: random.Random, pool: list[int], count: int,
@@ -82,9 +80,7 @@ def _styled_valuations(rng: random.Random, style: str, n: int,
     # explicit: tabulate a coverage-style function so the table is guaranteed
     # monotone submodular, then forget the structure; refuse before building
     # 2^n entries that epsilon's exhaustive sweep would refuse anyway
-    if n > size_cap(SUBMODULAR_CAP):
-        raise CapExceeded(f"explicit valuation tables capped at "
-                          f"n={size_cap(SUBMODULAR_CAP)}, got n={n}")
+    check_cap("explicit valuation tables", n, SUBMODULAR_CAP)
     base = ValuationSet.multicoverage(n, groups, reqs).functions[0]
     nums = [base.num(mask) for mask in range(1 << n)]
     return ValuationSet(n, [ExplicitFunction.from_nums(n, nums, base.den)],
@@ -134,10 +130,8 @@ def _random_tree(rng: random.Random, n: int) -> GroupedTree:
     for v in range(1, n):
         parent.append(rng.randrange(v))
         weight.append(rng.randint(1, 4))
-    kids = [0] * n
-    for v in range(1, n):
-        kids[parent[v]] += 1
-    leaves = [v for v in range(1, n) if kids[v] == 0]
+    inner = set(parent)
+    leaves = [v for v in range(1, n) if v not in inner]
     rng.shuffle(leaves)
     count = min(len(leaves), rng.randint(1, 3))
     groups: list[list[int]] = [[] for _ in range(count)]

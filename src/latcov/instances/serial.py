@@ -10,7 +10,7 @@ the declared kind):
     VALUATIONS <m> <n> <kind> <eps>   (ranking, mlsc, wssr)
         one line per function:
           wtc <nterms> ; <w> : <e>:<u> <e>:<u> ... ; ...
-          explicit <v0> <v1> ... (2^n table entries)
+          explicit <v0> <v1> ... (2^n monotone entries in [0, 1])
     STOCHASTIC <nelems> <domain>      (wssr)
         one line per element: "<length> : <point> <p/q> <point> <p/q> ..."
     END
@@ -23,9 +23,10 @@ round-trips byte-identically.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
-from ..errors import CapExceeded, size_cap
+from ..errors import check_cap
 from .generators import GEN_CAP, Instance
 from .metrics import metric_from_matrix
 from .stoch import StochasticInstance
@@ -162,9 +163,7 @@ def loads(text: str) -> Instance:
             raise ValueError(f"{tag} takes {HEADER_FIELDS[tag]} fields")
         if tag in ("METRIC", "VALUATIONS"):   # before any row is parsed
             n = int(toks[1 if tag == "METRIC" else 2])
-            if n > size_cap(GEN_CAP):
-                raise CapExceeded(f"{tag} capped at n={size_cap(GEN_CAP)}, "
-                                  f"got n={n}")
+            check_cap(tag, n, GEN_CAP)
         if tag == "METRIC":
             n, root = _count(toks[1], "METRIC vertex count"), int(toks[2])
             rows = [[int(x) for x in take().split()] for _ in range(n)]
@@ -193,7 +192,7 @@ def loads(text: str) -> Instance:
             m = _count(toks[1], "VALUATIONS function count")
             n = _count(toks[2], "VALUATIONS ground set size")
             vkind, eps = toks[3], parse_rat(toks[4])
-            fns = [_parse_function(take(), n) for _ in range(m)]
+            fns = [_parse_function(take(), n, i) for i in range(m)]
             valuations = ValuationSet(n, fns, vkind, eps)
         elif tag == "STOCHASTIC":
             nelems = _count(toks[1], "STOCHASTIC element count")
@@ -233,7 +232,7 @@ def loads(text: str) -> Instance:
                     stochastic=stochastic)
 
 
-def _parse_function(line: str, n: int):
+def _parse_function(line: str, n: int, index: int):
     toks = line.split() or [""]
     if toks[0] == "explicit":
         pairs = [_parse_pq(t) for t in toks[1:]]
@@ -241,7 +240,11 @@ def _parse_function(line: str, n: int):
         nums = [p * (den // q) for p, q in pairs]
         if nums and (min(nums) < 0 or max(nums) > den):
             raise ValueError("explicit table values must lie in [0, 1]")
-        return ExplicitFunction.from_nums(n, nums, den)
+        fn = ExplicitFunction.from_nums(n, nums, den)
+        if not _monotone(nums, n):   # the exact oracles assume it
+            raise ValueError(f"explicit table of function {index} is not "
+                             f"monotone: some f(S) > f(S + e)")
+        return fn
     if toks[0] != "wtc":
         raise ValueError(f"unknown function encoding {toks[0]!r}")
     chunks = line.split(" ; ")
@@ -262,6 +265,22 @@ def _parse_function(line: str, n: int):
             units.append(parse_rat(u))
         terms.append(CoverTerm(weight, tuple(members), tuple(units)))
     return CoverFunction(n, terms)
+
+
+def _monotone(nums: list[int], n: int) -> bool:
+    """No nums[m] > nums[m | 1 << e], compared slice against slice: in
+    strides for the low bits, in contiguous blocks for the high ones."""
+    size = len(nums)
+    for e in range(n):
+        b = 1 << e
+        if 2 * b * b <= size:
+            pairs = ((nums[j::2 * b], nums[j + b::2 * b]) for j in range(b))
+        else:
+            pairs = ((nums[s:s + b], nums[s + b:s + 2 * b])
+                     for s in range(0, size, 2 * b))
+        if any(any(map(operator.gt, lo, hi)) for lo, hi in pairs):
+            return False
+    return True
 
 
 def dump(inst: Instance, path: str):

@@ -1,13 +1,18 @@
 """Rooted edge-weighted trees with disjoint leaf groups.
 
 Edges are identified by their child vertex (vertex v owns the edge to
-parent[v]). Group covering instances additionally require, after
+parent[v]). Construction builds each vertex's children and one root-first
+order (depth-first preorder, children in id order) in the pass that checks
+the parent pointers: they form a tree exactly when that order reaches
+every vertex. `topo_order`, `euler_tour` and the group checks read these
+stored lists. Group covering instances additionally require, after
 `normalize`: group members are leaves, groups are pairwise disjoint, and
-every degree-1 vertex belongs to some group.
+every leaf belongs to some group.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional, Sequence
 
 from .metrics import Metric, metric_from_matrix
@@ -23,10 +28,47 @@ class GroupedTree:
         self.root = root
         self.groups = tuple(tuple(sorted(g)) for g in groups)
         self.reqs = tuple(int(k) for k in reqs)
-        self._validate()
-        self.children: tuple[tuple[int, ...], ...] = self._children()
-        self.leaves = tuple(v for v in range(self.n)
-                            if v != root and not self.children[v])
+        n = self.n
+        if len(self.weight) != n or len(self.groups) != len(self.reqs):
+            raise ValueError("field length mismatch")
+        if not 0 <= root < n:
+            raise ValueError("root out of range")
+        if self.parent[root] is not None:
+            raise ValueError("root must have no parent")
+        if self.weight[root] != 0:
+            raise ValueError("root carries no edge weight")
+        if not self.groups:
+            raise ValueError("groups must name at least one group, got none")
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for v in self.edges:
+            p = self.parent[v]
+            if p is None or not 0 <= p < n:
+                raise ValueError("non-root vertex needs an in-range parent")
+            if self.weight[v] < 0:
+                raise ValueError("edge weights must be non-negative integers")
+            kids[p].append(v)
+        # each vertex is listed under its one parent, so the order from the
+        # root reaches every vertex exactly when there is no cycle
+        self._order = _root_first(kids, root)
+        if len(self._order) != n:
+            raise ValueError("parent pointers do not form a rooted tree")
+        self.children = tuple(map(tuple, kids))
+        self.leaves = tuple(v for v in self.edges if not kids[v])
+        member_seen: set[int] = set()
+        for g, k in zip(self.groups, self.reqs):
+            if not g:
+                raise ValueError("groups must be nonempty")
+            if not 1 <= k <= len(g):
+                raise ValueError("requirement must be in 1..|group|")
+            for v in g:
+                if not 0 <= v < n or v == root or kids[v]:
+                    raise ValueError("group members must be non-root leaves")
+                if v in member_seen:
+                    raise ValueError("groups must be disjoint")
+                member_seen.add(v)
+        if not member_seen.issuperset(self.leaves):
+            raise ValueError("every leaf must belong to some group "
+                             "(run normalize first)")
         self._dists: Optional[list[list[int]]] = None
 
     # ---- structure ---------------------------------------------------------
@@ -39,65 +81,6 @@ class GroupedTree:
     def edges(self) -> tuple[int, ...]:
         """Non-root vertices; vertex v names the edge (v, parent[v])."""
         return tuple(v for v in range(self.n) if v != self.root)
-
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                kids[p].append(v)
-        return tuple(tuple(sorted(c)) for c in kids)
-
-    def _validate(self):
-        n = len(self.parent)
-        if not 0 <= self.root < n:
-            raise ValueError("root out of range")
-        if self.parent[self.root] is not None:
-            raise ValueError("root must have no parent")
-        if self.weight[self.root] != 0:
-            raise ValueError("root carries no edge weight")
-        if len(self.weight) != n or len(self.groups) != len(self.reqs):
-            raise ValueError("field length mismatch")
-        if not self.groups:
-            raise ValueError("groups must name at least one group, got none")
-        seen_root = 0
-        for v in range(n):
-            if v == self.root:
-                seen_root += 1
-                continue
-            p = self.parent[v]
-            if p is None or not 0 <= p < n:
-                raise ValueError("non-root vertex needs an in-range parent")
-            if self.weight[v] < 0:
-                raise ValueError("edge weights must be non-negative integers")
-            # walk to the root; cycles would loop past n steps
-            hops, u = 0, v
-            while u != self.root:
-                u = self.parent[u]
-                hops += 1
-                if u is None or hops > n:
-                    raise ValueError("parent pointers do not form a rooted tree")
-        if seen_root != 1:
-            raise ValueError("exactly one root required")
-        kids: list[int] = [0] * n
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                kids[p] += 1
-        member_seen: set[int] = set()
-        for g, k in zip(self.groups, self.reqs):
-            if not g:
-                raise ValueError("groups must be nonempty")
-            if not 1 <= k <= len(g):
-                raise ValueError("requirement must be in 1..|group|")
-            for v in g:
-                if not 0 <= v < n or v == self.root or kids[v] != 0:
-                    raise ValueError("group members must be non-root leaves")
-                if v in member_seen:
-                    raise ValueError("groups must be disjoint")
-                member_seen.add(v)
-        for v in range(n):
-            if v != self.root and kids[v] == 0 and v not in member_seen:
-                raise ValueError("every leaf must belong to some group "
-                                 "(run normalize first)")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupedTree) and (
@@ -138,12 +121,7 @@ class GroupedTree:
 
     def topo_order(self) -> list[int]:
         """Vertices root-first; every parent precedes its children."""
-        order, stack = [], [self.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(self.children[u]))
-        return order
+        return list(self._order)
 
     # ---- tours -------------------------------------------------------------
 
@@ -162,20 +140,16 @@ class GroupedTree:
                 raise ValueError("root has no parent edge")
             if p != self.root and p not in selected:
                 raise ValueError("selected edges must form a subtree at the root")
-        # iterative DFS emitting the child on entry and the parent on exit
+        # the root-first order enters the selected vertices as a depth-first
+        # walk would; climb back to each one's parent before entering it
         path = [self.root]
-        stack: list[tuple[int, bool]] = [
-            (c, True) for c in reversed(self.children[self.root]) if c in selected
-        ]
-        while stack:
-            v, entering = stack.pop()
-            if entering:
+        for v in self._order:
+            if v in selected:
+                while path[-1] != self.parent[v]:
+                    path.append(self.parent[path[-1]])
                 path.append(v)
-                stack.append((v, False))
-                stack.extend((c, True) for c in reversed(self.children[v])
-                             if c in selected)
-            else:
-                path.append(self.parent[v])
+        while path[-1] != self.root:
+            path.append(self.parent[path[-1]])
         return path
 
     def walk_weight(self, walk: Sequence[int]) -> int:
@@ -183,65 +157,62 @@ class GroupedTree:
         return sum(dist[a][b] for a, b in zip(walk, walk[1:]))
 
 
+def _root_first(kids: Sequence[Sequence[int]], root: int) -> list[int]:
+    """Depth-first preorder from the root, children in id order."""
+    order, stack = [], [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(kids[u]))
+    return order
+
+
 def normalize(parent: Sequence[Optional[int]], weight: Sequence[int], root: int,
               groups: Sequence[Sequence[int]], reqs: Sequence[int]) -> GroupedTree:
     """Rewrite a raw grouped tree into the canonical leaf-group form.
 
     Surgery, in order: group members that are internal vertices or shared
-    between groups get a fresh zero-weight pendant leaf; degree-1 vertices
-    in no group are pruned (repeatedly); vertex ids are then compacted
-    preserving relative order.
+    between groups get a fresh zero-weight pendant leaf; subtrees holding
+    no member are pruned, in one pass up the root-first order; vertex ids
+    are then compacted preserving relative order. Vertices the root cannot
+    reach are kept, so `GroupedTree` refuses a parent array that is not a
+    tree.
     """
     parent = list(parent)
     weight = list(weight)
     groups = [list(g) for g in groups]
     n = len(parent)
-    kids = [0] * n
+    if len(weight) != n:
+        raise ValueError("field length mismatch")
+    if not 0 <= root < n:
+        raise ValueError("root out of range")
+    if not all(0 <= v < n for g in groups for v in g):
+        raise ValueError("group members must be non-root leaves")
+    kids: list[list[int]] = [[] for _ in range(n)]
     for v, p in enumerate(parent):
-        if p is not None:
-            kids[p] += 1
-
-    occurrences: dict[int, int] = {}
-    for g in groups:
-        for v in g:
-            occurrences[v] = occurrences.get(v, 0) + 1
-
-    claimed: set[int] = set()
+        if v != root and p is not None and 0 <= p < n:
+            kids[p].append(v)
+    occurrences = Counter(v for g in groups for v in g)
+    members: set[int] = set()
     for g in groups:
         for idx, v in enumerate(g):
-            internal = (v == root) or kids[v] > 0
-            if internal or occurrences[v] > 1:
+            if v == root or kids[v] or occurrences[v] > 1:
                 # fresh zero-weight pendant per occurrence; v turns internal
+                g[idx] = len(parent)
+                kids[v].append(g[idx])
+                kids.append([])
                 parent.append(v)
                 weight.append(0)
-                kids.append(0)
-                kids[v] += 1
-                g[idx] = len(parent) - 1
-                claimed.add(g[idx])
-            else:
-                claimed.add(v)
+            members.add(g[idx])
 
-    alive = [True] * len(parent)
-    changed = True
-    while changed:
-        changed = False
-        deg = [0] * len(parent)
-        for v, p in enumerate(parent):
-            if alive[v] and p is not None and alive[p]:
-                deg[v] += 1
-                deg[p] += 1
-        for v in range(len(parent)):
-            if alive[v] and v != root and deg[v] <= 1 and v not in claimed:
-                alive[v] = False
-                changed = True
-
-    remap: dict[int, int] = {}
-    for v in range(len(parent)):
-        if alive[v]:
-            remap[v] = len(remap)
-    new_parent = [None if parent[v] is None else remap[parent[v]]
-                  for v in range(len(parent)) if alive[v]]
-    new_weight = [weight[v] for v in range(len(parent)) if alive[v]]
-    new_groups = [[remap[v] for v in g] for g in groups]
-    return GroupedTree(new_parent, new_weight, remap[root], new_groups, reqs)
-
+    keep = [True] * len(parent)
+    for v in reversed(_root_first(kids, root)):   # children before parents
+        keep[v] = v == root or v in members or any(keep[c] for c in kids[v])
+    kept = [v for v in range(len(parent)) if keep[v]]
+    remap = {v: i for i, v in enumerate(kept)}
+    # only the root's parent can be pruned; it and a parent out of range
+    # become -1, which GroupedTree refuses
+    new_parent = [None if parent[v] is None else remap.get(parent[v], -1)
+                  for v in kept]
+    return GroupedTree(new_parent, [weight[v] for v in kept], remap[root],
+                       [[remap[v] for v in g] for g in groups], reqs)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ..errors import CapExceeded, size_cap
+from ..errors import check_cap
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -205,8 +205,7 @@ def check_submodular(fn, n: int) -> bool:
     diminishing returns on element pairs), which is equivalent to the
     definition over all nested pairs A subset of B. Exhaustive: capped.
     """
-    if n > size_cap(SUBMODULAR_CAP):
-        raise CapExceeded(f"check_submodular capped at n={SUBMODULAR_CAP}")
+    check_cap("check_submodular", n, SUBMODULAR_CAP)
     vals = [fn.value(mask) for mask in range(1 << n)]
     for mask in range(1 << n):
         base = vals[mask]
@@ -366,8 +365,7 @@ def alpha_from_epsilon(epsilon: Fraction) -> Fraction:
 def min_nonzero_marginal(fn, n: int) -> Fraction:
     """Exhaustive smallest nonzero single-element marginal of one function,
     scanned as its ints over its one denominator."""
-    if n > size_cap(SUBMODULAR_CAP):
-        raise CapExceeded("marginal enumeration capped at n=12")
+    check_cap("marginal enumeration", n, SUBMODULAR_CAP)
     ints = [fn.num(mask) for mask in range(1 << n)]
     best: int | None = None
     for mask, base in enumerate(ints):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import CapExceeded, Uncoverable, size_cap
+from .errors import Uncoverable, check_cap
 from .instances.metrics import Metric
 from .instances.valuations import ResidualFunction, ValuationSet
 from .orienteering import SopQuery, SopResult
@@ -152,8 +152,7 @@ def brute_force_latency(metric: Metric, vs: ValuationSet) -> LatencyTour:
     gives the lexicographically smallest optimal walk.
     """
     n = metric.n
-    if n > size_cap(LATENCY_CAP):
-        raise CapExceeded(f"brute_force_latency capped at n={LATENCY_CAP}")
+    check_cap("brute_force_latency", n, LATENCY_CAP)
     if vs.n != n:
         raise ValueError("valuations and metric disagree on the vertex count")
     d, uncovered = metric.dist, uncovered_counts(vs)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, size_cap
+from .errors import check_cap
 from .instances.metrics import Metric
 
 EXACT_CAP = 9
@@ -76,8 +76,7 @@ def sop_exact(q: SopQuery) -> SopResult:
     are compared as the valuation's ints over its one denominator.
     """
     n = q.metric.n
-    if n > size_cap(EXACT_CAP):
-        raise CapExceeded(f"sop_exact capped at |V|={EXACT_CAP}")
+    check_cap("sop_exact", n, EXACT_CAP, "|V|")
     d = q.metric.dist
     num = q.valuation.num
     best_path = [q.root]
@@ -171,8 +170,7 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     the b1 loop jumps from one left half's next to the following one.
     """
     n = q.metric.n
-    if n > size_cap(RG_CAP):
-        raise CapExceeded(f"sop_recursive_greedy capped at |V|={RG_CAP}")
+    check_cap("sop_recursive_greedy", n, RG_CAP, "|V|")
     d = q.metric.dist
     num = q.valuation.num
     declared = (math.ceil(math.log2(n)) + 1 if n > 1 else 1, 1)

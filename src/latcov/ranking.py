@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapExceeded, size_cap
+from .errors import check_cap
 from .instances.valuations import ResidualFunction, ValuationSet
 
 RANKING_CAP = 8
@@ -73,8 +73,7 @@ def brute_force_ranking(vs: ValuationSet) -> Ordering:
     optimal permutation.
     """
     n = vs.n
-    if n > size_cap(RANKING_CAP):
-        raise CapExceeded(f"brute_force_ranking capped at n={RANKING_CAP}")
+    check_cap("brute_force_ranking", n, RANKING_CAP)
     counts = uncovered_counts(vs)
     best = [0] * (1 << n)
     for mask in range((1 << n) - 1, -1, -1):

@@ -16,22 +16,27 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from latcov import cli
-from latcov.errors import Infeasible, size_cap
+from latcov.errors import CapExceeded, Infeasible, size_cap
 from latcov.instances import serial
 from latcov.instances.generators import GEN_CAP, random_valuations
 from latcov.instances.stoch import StochasticInstance
 from latcov.instances.trees import GroupedTree
-from latcov.instances.valuations import ValuationSet
-from latcov.ranking import alg_ag
+from latcov.instances.valuations import (ValuationSet, check_submodular,
+                                         min_nonzero_marginal)
+from latcov.mlsc import brute_force_latency
+from latcov.orienteering import sop_exact, sop_recursive_greedy
+from latcov.ranking import alg_ag, brute_force_ranking
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-# [exit code, stdout sha256] of larger exact LCST runs, recorded before the
-# sparse simplex replaced the dense tableau
+# [exit code, stdout sha256] of exact LCST runs: the larger ones recorded
+# before the sparse simplex replaced the dense tableau, the three under
+# n=15 before one root-first pass built each grouped tree
 with open(os.path.join(os.path.dirname(__file__), "data",
                        "lcst_records.json")) as _fh:
     LCST_RECORDS = json.load(_fh)
@@ -529,6 +534,67 @@ def test_explicit_values_outside_unit_interval_are_refused(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert "explicit table values must lie in [0, 1]" in captured.err
+
+
+# f(empty) = 1/2 > f({0}) = 0 in the second table
+NON_MONOTONE_TABLES = ("LATCOV v1 ranking\nVALUATIONS 2 2 explicit 1/2\n"
+                       "explicit 0/1 1/2 1/2 1/1\n"
+                       "explicit 1/2 0/1 0/1 1/1\nEND\n")
+
+
+def test_non_monotone_explicit_tables_are_refused(tmp_path, capsys):
+    # rank --oracle gave ok=pass, though both subset-DP oracles are exact
+    # only for monotone valuations
+    path = tmp_path / "dip.lcov"
+    path.write_text(NON_MONOTONE_TABLES)
+    for extra in ([], ["--oracle"]):
+        argv = ["rank", "--in", str(path), *extra]
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "explicit table of function 1 is not monotone" in captured.err
+
+
+# labelled singlegroup, but units 2/3 need both members, and two terms
+MISLABELLED_SINGLEGROUP = [
+    "LATCOV v1 mlsc\nMETRIC 3 0\n0 1 1\n1 0 1\n1 1 0\n"
+    f"VALUATIONS 1 3 singlegroup 1/2\nwtc {body}\nEND\n"
+    for body in ("1 ; 1/1 : 1:2/3 2:2/3", "2 ; 1/2 : 1:1/1 ; 1/2 : 2:1/1")]
+
+
+@pytest.mark.parametrize("text", MISLABELLED_SINGLEGROUP)
+def test_lcst_embedding_refuses_mislabelled_singlegroup(text, tmp_path,
+                                                        capsys):
+    # each was embedded as another instance (requirement 1, or the first
+    # term alone) and gave an exit-0 record
+    path = tmp_path / "label.lcov"
+    path.write_text(text)
+    assert cli.main(["lcst", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "function 0 is not one weight-1 term" in captured.err
+
+
+def test_cap_messages_name_the_cap_in_force(monkeypatch, capsys):
+    # each named its default cap, though LATCOV_CAP had raised it
+    monkeypatch.setenv("LATCOV_CAP", "9")
+    assert cli.main(["rank", "--gen", "explicit:n=10:seed=0", "--oracle"]) == 2
+    assert "brute_force_ranking capped at n=9, got n=10" in \
+        capsys.readouterr().err
+    monkeypatch.setenv("LATCOV_CAP", "70")
+    big = SimpleNamespace(n=71, metric=SimpleNamespace(n=71))
+    for call, args, text in [
+            (brute_force_ranking, (big,), "brute_force_ranking capped at n"),
+            (brute_force_latency, (big, big), "brute_force_latency capped at n"),
+            (sop_exact, (big,), "sop_exact capped at |V|"),
+            (sop_recursive_greedy, (big,), "sop_recursive_greedy capped at |V|"),
+            (check_submodular, (None, 71), "check_submodular capped at n"),
+            (min_nonzero_marginal, (None, 71),
+             "marginal enumeration capped at n")]:
+        with pytest.raises(CapExceeded) as info:
+            call(*args)
+        unit = text.rsplit(" ", 1)[1]
+        assert str(info.value) == f"{text}=70, got {unit}=71"
 
 
 def test_valuations_header_is_capped(tmp_path, capsys):

@@ -23,6 +23,7 @@ from latcov.instances.generators import random_valuations  # noqa: E402
 from latcov.instances.metrics import uniform_metric  # noqa: E402
 from latcov.instances.valuations import ValuationSet  # noqa: E402
 from latcov.lcst.mincut import CutQuery, min_cut_with_exceptions  # noqa: E402
+from test_cli import MISLABELLED_SINGLEGROUP  # noqa: E402
 from test_lcst_cuts import brute_min_cut, check_cut  # noqa: E402
 
 
@@ -104,7 +105,11 @@ MISMATCHED = [
 # a ranking table with values outside [0, 1], which the loader refuses
 OUT_OF_RANGE = ["LATCOV v1 ranking\nVALUATIONS 1 2 explicit 1/2\n"
                 "explicit 0/1 3/2 -1/2 1/1\nEND\n"]
-SEEDS = TEXTS + MISMATCHED + OUT_OF_RANGE
+SEEDS = TEXTS + MISMATCHED + OUT_OF_RANGE + [
+    # a table with f(empty) > f({0}), which the loader refuses, and two mlsc
+    # files labelled singlegroup whose terms lcst's embedding refuses
+    "LATCOV v1 ranking\nVALUATIONS 1 2 explicit 1/2\n"
+    "explicit 1/2 0/1 0/1 1/1\nEND\n"] + MISLABELLED_SINGLEGROUP
 # the commands that accept each instance kind, sampling kept small
 KIND_COMMANDS = {
     "ranking": (["rank"], ["rank", "--oracle"]),

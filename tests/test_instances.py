@@ -1,3 +1,4 @@
+import collections
 import math
 import pathlib
 import random
@@ -13,7 +14,9 @@ from latcov.instances import (CoverFunction, CoverTerm, ExplicitFunction,
                               metric_closure, min_nonzero_marginal,
                               normalize, random_instance, uniform_metric)
 from latcov.cli import parse_genspec
+from latcov.instances import serial
 from latcov.instances.serial import parse_rat
+import util
 from util import cover_times, pairwise_submodular
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -369,3 +372,203 @@ def test_min_nonzero_marginal_matches_fraction_reference():
                 continue
             got = min_nonzero_marginal(fn, n)
             assert type(got) is Fraction and got == want, seed
+
+
+# ---- one root-first pass, against the reference copies in util.py ---------
+
+# faults for GroupedTree inputs; the first five are parent-array faults, the
+# only ones normalize inputs get
+TREE_FAULTS = ("none", "cycle", "self", "short", "root_parent", "negative",
+               "internal_member", "shared_member", "bad_req", "uncovered_leaf")
+
+
+def _raw_tree(rng, n):
+    """A tree on n vertices with shuffled ids, so the root is anywhere."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    parent = [None] * n
+    for i in range(1, n):
+        parent[ids[i]] = ids[rng.randrange(i)]
+    weight = [0 if v == ids[0] else rng.randint(0, 3) for v in range(n)]
+    return parent, weight, ids[0]
+
+
+def _below(parent, v):
+    """v and the vertices whose first n parent hops pass it."""
+    def up(u):
+        for _ in parent:
+            if u is None or not 0 <= u < len(parent):
+                return
+            yield u
+            u = parent[u]
+    return sorted(u for u in range(len(parent)) if v in up(u))
+
+
+def _break(rng, fault, parent, weight, root, groups, reqs):
+    v = rng.choice([u for u in range(len(parent)) if u != root] or [root])
+    leaves = sorted(x for g in groups for x in g)
+    if fault == "none":
+        parent[v] = None
+    elif fault == "cycle":   # onto a descendant, v itself if it has none
+        parent[v] = rng.choice(_below(parent, v)[1:] or [v])
+    elif fault == "self":
+        parent[v] = v
+    elif fault == "short":
+        weight.pop()
+    elif fault == "root_parent":
+        parent[root] = rng.randrange(len(parent))
+    elif fault == "negative":
+        weight[min(v, len(weight) - 1)] = -1   # after "short" too
+    elif fault == "internal_member":
+        rng.choice(groups).append(rng.choice(sorted(set(parent) - {None})))
+    elif fault == "shared_member":
+        groups.append([rng.choice(leaves or [root])])
+        reqs.append(1)
+    elif fault == "bad_req":
+        i = rng.randrange(len(reqs))
+        reqs[i] = rng.choice((0, len(groups[i]) + 1))
+    else:   # uncovered_leaf, or an empty group after an earlier one
+        g = rng.choice(groups)
+        g[:1] = []
+
+
+def _built(build, *args):
+    """Fields, lists, order and full tour of the tree, or how it refused;
+    IndexError and KeyError are the reference's faults."""
+    try:
+        t = build(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    except (IndexError, KeyError) as exc:
+        return type(exc).__name__, None
+    return "ok", (t.parent, t.weight, t.root, t.groups, t.reqs, t.children,
+                  t.leaves, t.topo_order(), t.euler_tour()), t
+
+
+def _check_against_reference(ref, new, faults, stats):
+    assert new[0] in ("ok", "ValueError")
+    if not faults:
+        assert ref[0] == new[0] == "ok" and ref[1] == new[1]
+        return
+    assert new[0] == "ValueError", faults   # a fault is always refused
+    if ref[0] != "ValueError" or len(faults) > 1:
+        stats["other"] += 1
+        stats["messages differ"] += ref[0] == "ValueError" and ref[1] != new[1]
+        return
+    stats["one fault"] += 1
+    if ref[1] != new[1]:
+        # the reference's hop walk met a None parent from a lower-numbered
+        # descendant first and named the cycle check
+        assert faults == ["none"], (faults, ref, new)
+        assert ref[1] == "parent pointers do not form a rooted tree"
+        assert new[1] == "non-root vertex needs an in-range parent"
+        stats["none met first by the walk"] += 1
+
+
+def _check_tours(rng, ref_tree, new_tree, stats):
+    n = new_tree.n
+    for _ in range(4):
+        picked = {v for v in range(n) if rng.random() < 0.4}
+        if rng.random() < 0.5:   # close under parents, below the root
+            picked = {u for v in picked - {new_tree.root}
+                      for u in _path(new_tree, v)}
+        tours = []
+        for tree in (ref_tree, new_tree):
+            try:
+                tours.append(tree.euler_tour(set(picked)))
+            except ValueError as exc:
+                tours.append(str(exc))
+        assert tours[0] == tours[1], picked
+        stats["tours"] += 1
+
+
+def _path(tree, v):
+    while v != tree.root:
+        yield v
+        v = tree.parent[v]
+
+
+def test_tree_construction_matches_reference():
+    rng = random.Random("tree-construction")
+    stats = collections.Counter()
+    for _ in range(3000):
+        parent, weight, root = _raw_tree(rng, rng.randint(2, 9))
+        inner = set(parent)
+        leaves = [v for v in range(len(parent))
+                  if v != root and v not in inner]
+        rng.shuffle(leaves)
+        cut = sorted(rng.sample(range(1, len(leaves)),
+                                min(2, len(leaves) - 1)))
+        groups = [leaves[a:b] for a, b in zip([0] + cut, cut + [None])]
+        reqs = [rng.randint(1, len(g)) for g in groups]
+        faults = rng.sample(TREE_FAULTS, rng.choice((0, 0, 1, 1, 1, 2)))
+        for fault in faults:
+            _break(rng, fault, parent, weight, root, groups, reqs)
+        ref = _built(util.ReferenceTree, parent, weight, root, groups, reqs)
+        new = _built(GroupedTree, parent, weight, root, groups, reqs)
+        _check_against_reference(ref, new, faults, stats)
+        if new[0] == "ok":
+            _check_tours(rng, ref[2], new[2], stats)
+            stats["trees"] += 1
+    assert stats["trees"] > 800 and stats["one fault"] > 1000, stats
+    assert stats["none met first by the walk"] > 10, stats
+
+
+def test_normalize_matches_reference():
+    rng = random.Random("normalize")
+    stats = collections.Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        parent, weight, root = _raw_tree(rng, n)
+        # members anywhere: internal, the root, and shared between groups
+        groups = [[rng.randrange(n) for _ in range(rng.randint(1, 3))]
+                  for _ in range(rng.randint(1, 3))]
+        reqs = [rng.randint(1, len(g)) for g in groups]
+        faults = rng.sample(TREE_FAULTS[:5], rng.choice((0, 0, 1, 1, 2)))
+        if n == 1:
+            faults = [f for f in faults if f in ("short", "root_parent")]
+        for fault in faults:
+            _break(rng, fault, parent, weight, root, groups, reqs)
+        ref = _built(util.reference_normalize, parent, weight, root, groups,
+                     reqs)
+        new = _built(normalize, parent, weight, root, groups, reqs)
+        _check_against_reference(ref, new, faults, stats)
+        if new[0] == "ok":
+            _check_tours(rng, ref[2], new[2], stats)
+            stats["trees"] += 1
+        stats["forests accepted by the reference"] += faults != [] and \
+            ref[0] == "ok"
+    assert stats["trees"] > 1000 and stats["one fault"] > 500, stats
+    assert stats["forests accepted by the reference"] > 10, stats
+
+
+def test_tree_with_short_weight_is_refused_by_name():
+    # an IndexError before the field lengths were checked first
+    with pytest.raises(ValueError, match="field length mismatch"):
+        GroupedTree([0, None], [0], 1, [[0]], [1])
+
+
+def test_normalize_refuses_vertices_the_root_cannot_reach():
+    with pytest.raises(ValueError, match="in-range parent"):   # a KeyError
+        normalize([None, None, 0], [0, 0, 0], 1, [[2]], [1])
+    with pytest.raises(ValueError, match="in-range parent"):   # dropped 1
+        normalize([None, None, 0], [0, 0, 1], 0, [[2]], [1])
+
+
+def test_monotone_check_matches_per_mask_loop():
+    rng = random.Random("monotone")
+    refused = 0
+    for _ in range(1500):
+        n = rng.randint(0, 7)
+        nums = [0] * (1 << n)
+        for mask in range(1 << n):   # monotone: at least each subset's max
+            nums[mask] = max([nums[mask & ~(1 << e)] for e in range(n)
+                              if mask >> e & 1] + [rng.randint(0, 2)])
+        if n and rng.random() < 0.5:   # one dip, anywhere in the table
+            mask = rng.randrange(1 << n)
+            nums[mask] -= rng.randint(0, nums[mask])
+        want = all(nums[m] <= nums[m | 1 << e]
+                   for m in range(1 << n) for e in range(n))
+        assert serial._monotone(nums, n) == want, (n, nums)
+        refused += not want
+    assert refused > 300

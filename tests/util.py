@@ -166,3 +166,163 @@ def random_grouped_tree(seed, n):
         reqs.append(rng.randint(1, take))
         leaves = leaves[take:]
     return GroupedTree(parent, weight, 0, groups, reqs)
+
+
+# Test-only copy of the grouped-tree construction, order, walk and
+# normalization as they stood before one root-first pass built all three:
+# a separate child count, a hop walk per vertex for cycles, a fresh DFS per
+# topo_order call, a stack DFS per Euler tour, and pruning by repeated
+# degree rescans.
+
+class ReferenceTree:
+    def __init__(self, parent, weight, root, groups, reqs):
+        self.parent = tuple(parent)
+        self.weight = tuple(int(w) for w in weight)
+        self.root = root
+        self.groups = tuple(tuple(sorted(g)) for g in groups)
+        self.reqs = tuple(int(k) for k in reqs)
+        self._validate()
+        self.children = self._children()
+        self.leaves = tuple(v for v in range(self.n)
+                            if v != root and not self.children[v])
+
+    @property
+    def n(self):
+        return len(self.parent)
+
+    @property
+    def edges(self):
+        return tuple(v for v in range(self.n) if v != self.root)
+
+    def _children(self):
+        kids = [[] for _ in range(self.n)]
+        for v, p in enumerate(self.parent):
+            if p is not None:
+                kids[p].append(v)
+        return tuple(tuple(sorted(c)) for c in kids)
+
+    def _validate(self):
+        n = len(self.parent)
+        if not 0 <= self.root < n:
+            raise ValueError("root out of range")
+        if self.parent[self.root] is not None:
+            raise ValueError("root must have no parent")
+        if self.weight[self.root] != 0:
+            raise ValueError("root carries no edge weight")
+        if len(self.weight) != n or len(self.groups) != len(self.reqs):
+            raise ValueError("field length mismatch")
+        if not self.groups:
+            raise ValueError("groups must name at least one group, got none")
+        for v in range(n):
+            if v == self.root:
+                continue
+            p = self.parent[v]
+            if p is None or not 0 <= p < n:
+                raise ValueError("non-root vertex needs an in-range parent")
+            if self.weight[v] < 0:
+                raise ValueError("edge weights must be non-negative integers")
+            hops, u = 0, v
+            while u != self.root:
+                u = self.parent[u]
+                hops += 1
+                if u is None or hops > n:
+                    raise ValueError("parent pointers do not form a rooted tree")
+        kids = [0] * n
+        for v, p in enumerate(self.parent):
+            if p is not None:
+                kids[p] += 1
+        member_seen = set()
+        for g, k in zip(self.groups, self.reqs):
+            if not g:
+                raise ValueError("groups must be nonempty")
+            if not 1 <= k <= len(g):
+                raise ValueError("requirement must be in 1..|group|")
+            for v in g:
+                if not 0 <= v < n or v == self.root or kids[v] != 0:
+                    raise ValueError("group members must be non-root leaves")
+                if v in member_seen:
+                    raise ValueError("groups must be disjoint")
+                member_seen.add(v)
+        for v in range(n):
+            if v != self.root and kids[v] == 0 and v not in member_seen:
+                raise ValueError("every leaf must belong to some group "
+                                 "(run normalize first)")
+
+    def topo_order(self):
+        order, stack = [], [self.root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(reversed(self.children[u]))
+        return order
+
+    def euler_tour(self, selected=None):
+        if selected is None:
+            selected = set(self.edges)
+        for v in selected:
+            p = self.parent[v]
+            if p is None:
+                raise ValueError("root has no parent edge")
+            if p != self.root and p not in selected:
+                raise ValueError("selected edges must form a subtree at the root")
+        path = [self.root]
+        stack = [(c, True) for c in reversed(self.children[self.root])
+                 if c in selected]
+        while stack:
+            v, entering = stack.pop()
+            if entering:
+                path.append(v)
+                stack.append((v, False))
+                stack.extend((c, True) for c in reversed(self.children[v])
+                             if c in selected)
+            else:
+                path.append(self.parent[v])
+        return path
+
+
+def reference_normalize(parent, weight, root, groups, reqs):
+    parent, weight = list(parent), list(weight)
+    groups = [list(g) for g in groups]
+    n = len(parent)
+    kids = [0] * n
+    for v, p in enumerate(parent):
+        if p is not None:
+            kids[p] += 1
+    occurrences = {}
+    for g in groups:
+        for v in g:
+            occurrences[v] = occurrences.get(v, 0) + 1
+    claimed = set()
+    for g in groups:
+        for idx, v in enumerate(g):
+            if v == root or kids[v] > 0 or occurrences[v] > 1:
+                parent.append(v)
+                weight.append(0)
+                kids.append(0)
+                kids[v] += 1
+                g[idx] = len(parent) - 1
+                claimed.add(g[idx])
+            else:
+                claimed.add(v)
+    alive = [True] * len(parent)
+    changed = True
+    while changed:
+        changed = False
+        deg = [0] * len(parent)
+        for v, p in enumerate(parent):
+            if alive[v] and p is not None and alive[p]:
+                deg[v] += 1
+                deg[p] += 1
+        for v in range(len(parent)):
+            if alive[v] and v != root and deg[v] <= 1 and v not in claimed:
+                alive[v] = False
+                changed = True
+    remap = {}
+    for v in range(len(parent)):
+        if alive[v]:
+            remap[v] = len(remap)
+    return ReferenceTree(
+        [None if parent[v] is None else remap[parent[v]]
+         for v in range(len(parent)) if alive[v]],
+        [weight[v] for v in range(len(parent)) if alive[v]], remap[root],
+        [[remap[v] for v in g] for g in groups], reqs)
