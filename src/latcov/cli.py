@@ -36,7 +36,8 @@ from .lcst.embed import frt_embed
 from .lcst.lp import solve_lp_lcst
 from .lcst.rounding import alg_lcst, weight_cap
 from .mlsc import alg_mlsc, brute_force_latency, check_mlsc_recurrence
-from .orienteering import SopQuery, sop_exact, sop_recursive_greedy
+from .orienteering import (SopQuery, greedy_rho, sop_exact,
+                           sop_recursive_greedy)
 from .ranking import (ResidualFunction, alg_ag, brute_force_ranking,
                       check_log_claim, check_recurrence)
 from .stochastic import (alg_ag_sto, check_sto_recurrence, evaluate_policy,
@@ -225,7 +226,7 @@ def cmd_sop(args, cfg: RunConfig):
     code = 0
     if args.oracle and args.solver == "greedy":
         exact = sop_exact(query)
-        rho = (metric.n - 1).bit_length() + 1
+        rho = greedy_rho(metric.n)
         ok = res.value * rho >= exact.value and res.length <= budget
         fields.update(_versus(res.value, exact.value),
                       ok="pass" if ok else "fail")
@@ -240,8 +241,7 @@ def cmd_mlsc(args, cfg: RunConfig):
     if args.solver == "exact":
         solver, rho, sigma = sop_exact, 1, 1
     else:
-        solver, rho, sigma = sop_recursive_greedy, \
-            (metric.n - 1).bit_length() + 1, 1
+        solver, rho, sigma = sop_recursive_greedy, greedy_rho(metric.n), 1
     tour, log = alg_mlsc(metric, vs, solver, rho, sigma)
     fields = {"objective": _rat(tour.objective),
               "detail": _detail({"kind": vs.kind, "n": metric.n,

@@ -235,9 +235,12 @@ def loads(text: str) -> Instance:
 def _parse_function(line: str, n: int, index: int):
     toks = line.split() or [""]
     if toks[0] == "explicit":
-        pairs = [_parse_pq(t) for t in toks[1:]]
-        den = math.lcm(*(q for _, q in pairs))
-        nums = [p * (den // q) for p, q in pairs]
+        # tables repeat few values: parse each distinct token once, in
+        # file order, so the first bad token is the one the error names
+        pairs = {t: _parse_pq(t) for t in dict.fromkeys(toks[1:])}
+        den = math.lcm(*(q for _, q in pairs.values()))
+        lifted = {t: p * (den // q) for t, (p, q) in pairs.items()}
+        nums = list(map(lifted.__getitem__, toks[1:]))
         if nums and (min(nums) < 0 or max(nums) > den):
             raise ValueError("explicit table values must lie in [0, 1]")
         fn = ExplicitFunction.from_nums(n, nums, den)

@@ -136,7 +136,7 @@ class ExplicitFunction:
             raise ValueError("table must have 2^n entries")
         g = math.gcd(den, *nums)
         self.n, self.den = n, den // g
-        self._nums = tuple(x // g for x in nums)
+        self._nums = tuple(x // g for x in nums) if g > 1 else tuple(nums)
 
     def num(self, mask: int) -> int:
         return self._nums[mask]

@@ -98,6 +98,12 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
     Budgets double until they reach n * diameter; past that bound any
     coverable valuation is coverable in one augmentation, so a full phase
     with zero residual gain signals an uncoverable valuation.
+
+    `solver` must be a pure function of its query. A query is fixed by the
+    collected vertex set and the budget, so the solver is asked each
+    distinct query once: until one of the two changes, every augmentation
+    reuses the last answer, logs it again and, if it is a path past the
+    root, walks it again.
     """
     if vs.n != metric.n:
         raise ValueError("valuations and metric disagree on the vertex count")
@@ -110,29 +116,35 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
     phases: list[PhaseRecord] = []
     budget = 1
     residual = ResidualValuation(vs, s_mask)
+    asked = res = None   # the last (s_mask, budget) asked and its answer
     while residual.uncovered:
         results: list[SopResult] = []
         added: list[int] = []
-        phase_gain = Fraction(0)
+        gained = False
         for _ in range(h):
-            res = solver(SopQuery(metric, r, residual, budget))
-            if res.length > sigma * budget:
-                raise ValueError("solver exceeded its declared length bound")
+            if asked != (s_mask, budget):
+                asked = (s_mask, budget)
+                res = solver(SopQuery(metric, r, residual, budget))
+                if res.length > sigma * budget:
+                    raise ValueError("solver exceeded its declared "
+                                     "length bound")
             results.append(res)
-            phase_gain += res.value
+            gained = gained or res.value > 0
             if len(res.path) > 1:
                 walk.extend(res.path[1:])
                 walk.append(r)
                 length += res.length + metric.d(res.path[-1], r)
+                before = s_mask
                 for v in res.path[1:]:
                     if not s_mask & (1 << v):
                         s_mask |= 1 << v
                         added.append(v)
-                residual = ResidualValuation(vs, s_mask)
-                if residual.uncovered == 0:
-                    break
+                if s_mask != before:
+                    residual = ResidualValuation(vs, s_mask)
+                    if residual.uncovered == 0:
+                        break
         phases.append(PhaseRecord(budget, tuple(results), tuple(added), length))
-        if residual.uncovered and budget >= cap and phase_gain == 0:
+        if residual.uncovered and budget >= cap and not gained:
             raise Uncoverable("no residual progress in a full phase at the "
                               "budget cap")
         if budget < cap:

@@ -120,6 +120,11 @@ def _path_vertex_bound(q: SopQuery) -> int:
     return min(q.metric.n, q.budget // sep + 1)
 
 
+def greedy_rho(n: int) -> int:
+    """Recursive greedy's rho, ceil(log2 n) + 1 for n >= 1, in ints."""
+    return (n - 1).bit_length() + 1
+
+
 def sop_recursive_greedy(q: SopQuery) -> SopResult:
     """Midpoint recursion: guess the path's middle vertex and budget split,
     solve the halves recursively, chain the greedy residual.
@@ -173,7 +178,7 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     check_cap("sop_recursive_greedy", n, RG_CAP, "|V|")
     d = q.metric.dist
     num = q.valuation.num
-    declared = (math.ceil(math.log2(n)) + 1 if n > 1 else 1, 1)
+    declared = (greedy_rho(n), 1)
     kmax = _path_vertex_bound(q)
     depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
     never = q.budget + 1   # no call asks for a larger budget

@@ -8,6 +8,7 @@ Derandomized, so every run draws the same examples.
 
 import contextlib
 import io
+import math
 import os
 import tempfile
 
@@ -21,7 +22,10 @@ from latcov.instances import (Instance, dumps, loads,  # noqa: E402
                               random_instance)
 from latcov.instances.generators import random_valuations  # noqa: E402
 from latcov.instances.metrics import uniform_metric  # noqa: E402
-from latcov.instances.valuations import ValuationSet  # noqa: E402
+from latcov.instances.serial import (_monotone, _parse_function,  # noqa: E402
+                                     _parse_pq)
+from latcov.instances.valuations import (ExplicitFunction,  # noqa: E402
+                                         ValuationSet)
 from latcov.lcst.mincut import CutQuery, min_cut_with_exceptions  # noqa: E402
 from test_cli import MISLABELLED_SINGLEGROUP  # noqa: E402
 from test_lcst_cuts import brute_min_cut, check_cut  # noqa: E402
@@ -90,6 +94,53 @@ def test_loads_accepts_or_raises_value_error(which, edits):
         loads(text)
     except ValueError:
         pass
+
+
+def per_token_explicit(line, n, index):
+    """The explicit-table parse as it stood when every token of the line
+    went through _parse_pq, repeats included, in file order."""
+    pairs = [_parse_pq(t) for t in line.split()[1:]]
+    den = math.lcm(*(q for _, q in pairs))
+    nums = [p * (den // q) for p, q in pairs]
+    if nums and (min(nums) < 0 or max(nums) > den):
+        raise ValueError("explicit table values must lie in [0, 1]")
+    fn = ExplicitFunction.from_nums(n, nums, den)
+    if not _monotone(nums, n):
+        raise ValueError(f"explicit table of function {index} is not "
+                         f"monotone: some f(S) > f(S + e)")
+    return fn
+
+
+def _table_outcome(parse, line, n):
+    """The parsed table as (den, nums), or the message it was refused with."""
+    try:
+        fn = parse(line, n, 0)
+    except ValueError as exc:
+        return str(exc)
+    return fn.den, [fn.num(m) for m in range(1 << n)]
+
+
+# valid p/q tokens, repeated often as in real tables, among malformed ones
+TABLE_TOKENS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-1, 4), st.integers(1, 4)),
+    st.sampled_from(("0/1", "1/1", "1/2", "2/4", "1/2/3", "/", "1/", "a/b",
+                     "1/0", "3/-6", "1_0/4", "-1/-2")))
+
+
+@settings(derandomize=True, max_examples=400, deadline=2_000)
+@given(n=st.integers(0, 3), size=st.integers(0, 9), data=st.data())
+def test_explicit_tables_fail_as_the_per_token_parse(n, size, data):
+    if data.draw(st.booleans()):
+        size = 1 << n
+    line = "explicit " + " ".join(data.draw(st.lists(
+        TABLE_TOKENS, min_size=size, max_size=size)))
+    want = _table_outcome(per_token_explicit, line, n)
+    assert _table_outcome(_parse_function, line, n) == want, line
+    text = f"LATCOV v1 ranking\nVALUATIONS 1 {n} explicit 1/2\n{line}\nEND\n"
+    try:
+        loads(text)
+    except ValueError as exc:   # CapExceeded included
+        assert type(want) is not str or str(exc) == want, line
 
 
 # mlsc texts whose METRIC and VALUATIONS sizes disagree, one each way: no

@@ -1,6 +1,7 @@
 """Latency cover walks: phase construction, exact oracle, decay recurrence."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,11 @@ from latcov.instances.valuations import ValuationSet, check_submodular
 from latcov.mlsc import (LatencyTour, ResidualValuation, alg_mlsc,
                          PhaseLog, brute_force_latency, check_mlsc_recurrence,
                          mlsc_checkpoint_base)
-from latcov.orienteering import SopResult, sop_exact, sop_recursive_greedy
+from latcov.orienteering import (EXACT_CAP, SopResult, greedy_rho,
+                                  sop_exact, sop_recursive_greedy)
 from latcov.ranking import alg_ag, brute_force_ranking
 
-from util import pairwise_submodular
+from util import pairwise_submodular, reference_alg_mlsc
 
 PATH_METRIC = metric_from_matrix([[0, 2, 5], [2, 0, 3], [5, 3, 0]])
 
@@ -204,10 +206,88 @@ def test_overlong_solver_path_rejected():
 def test_recursive_greedy_solver_covers():
     for seed in range(4):
         inst = mlsc_instance(seed, n=6)
-        rho = 4  # ceil(log2 6) + 1
+        rho = greedy_rho(6)
+        assert rho == 4   # ceil(log2 6) + 1
         tour, _ = alg_mlsc(inst.metric, inst.valuations,
                            sop_recursive_greedy, rho, 1)
         assert max(tour.cover_times) <= tour.prefix[-1]
+
+
+def test_greedy_rho_is_ceil_log2_plus_one():
+    for n in range(1, 200):
+        assert greedy_rho(n) == math.ceil(math.log2(n)) + 1, n
+
+
+def recording(solver, calls, once):
+    """`solver`, appending each query's (collected mask, budget) to
+    `calls`; with `once`, failing if a run asks the same query twice."""
+    def ask(q):
+        key = (q.valuation.s_mask, q.budget)
+        assert not (once and key in calls), key
+        calls.append(key)
+        return solver(q)
+    return ask
+
+
+def run_both(metric, vs, solver, rho):
+    """alg_mlsc, asking each query once, and the every-augmentation
+    reference on one solver: both outcomes (result or exception) and both
+    solver call counts."""
+    outcomes, calls = [], ([], [])
+    for fn, seen, once in ((alg_mlsc, calls[0], True),
+                           (reference_alg_mlsc, calls[1], False)):
+        try:
+            outcomes.append(fn(metric, vs, recording(solver, seen, once),
+                               rho, 1))
+        except (ValueError, Uncoverable) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes, len(calls[0]), len(calls[1])
+
+
+def test_alg_mlsc_matches_every_augmentation_reference():
+    asked = repeated = 0
+    for kind in ("uniform-metric", "euclidean-grid-metric"):
+        for n in range(3, 13):
+            solvers = [(sop_recursive_greedy, greedy_rho(n))]
+            if n <= EXACT_CAP:
+                solvers.append((sop_exact, 1))
+            for seed in range(8):
+                inst = random_instance(kind, n, seed)
+                for solver, rho in solvers:
+                    (got, want), ours, theirs = run_both(
+                        inst.metric, inst.valuations, solver, rho)
+                    assert got == want, (kind, n, seed, solver.__name__)
+                    asked += ours
+                    repeated += theirs - ours
+    assert repeated > asked   # most of the reference's calls were repeats
+
+
+def test_path_without_new_vertices_grows_the_walk_only():
+    # where the exact solver finds no gain, walk out to the nearest
+    # collected vertex and back: the walk grows, the residual does not
+    def revisit(q):
+        res = sop_exact(q)
+        d, r, s_mask = q.metric.d, q.root, q.valuation.s_mask
+        near = [(d(r, v), v) for v in range(q.metric.n)
+                if v != r and s_mask >> v & 1 and d(r, v) <= q.budget]
+        if len(res.path) > 1 or not near:
+            return res
+        length, v = min(near)
+        return SopResult((r, v), length, q.valuation.value(1 << r | 1 << v),
+                         res.guarantee)
+
+    revisits = 0
+    for seed in range(12):
+        inst = mlsc_instance(seed, n=6)
+        (got, want), _, _ = run_both(inst.metric, inst.valuations, revisit, 1)
+        assert got == want, seed
+        tour, log = got
+        plain, _ = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+        idle = sum(len(res.path) > 1 and res.value == 0
+                   for rec in log.phases for res in rec.results)
+        assert (len(tour.walk) > len(plain.walk)) == (idle > 0), seed
+        revisits += idle
+    assert revisits > 0
 
 
 def test_recurrence_phase_zero_coverage_is_trivial():

@@ -5,6 +5,11 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
+from latcov.errors import Uncoverable
+from latcov.mlsc import (LatencyTour, PhaseLog, PhaseRecord,
+                         ResidualValuation, augmentation_count)
+from latcov.orienteering import SopQuery
+
 
 def perm_optimum(vs):
     """Literal minimum of the summed cover times over all n! orderings.
@@ -326,3 +331,48 @@ def reference_normalize(parent, weight, root, groups, reqs):
          for v in range(len(parent)) if alive[v]],
         [weight[v] for v in range(len(parent)) if alive[v]], remap[root],
         [[remap[v] for v in g] for g in groups], reqs)
+
+
+def reference_alg_mlsc(metric, vs, solver, rho, sigma):
+    """alg_mlsc as it stood when every augmentation asked the solver and
+    rebuilt the residual, and a Fraction sum recorded the phase's gain."""
+    if vs.n != metric.n:
+        raise ValueError("valuations and metric disagree on the vertex count")
+    r = metric.root
+    h = augmentation_count(vs.alpha, rho)
+    cap = max(1, metric.n * metric.diameter)
+    s_mask = 1 << r
+    walk = [r]
+    length = 0
+    phases = []
+    budget = 1
+    residual = ResidualValuation(vs, s_mask)
+    while residual.uncovered:
+        results = []
+        added = []
+        phase_gain = Fraction(0)
+        for _ in range(h):
+            res = solver(SopQuery(metric, r, residual, budget))
+            if res.length > sigma * budget:
+                raise ValueError("solver exceeded its declared length bound")
+            results.append(res)
+            phase_gain += res.value
+            if len(res.path) > 1:
+                walk.extend(res.path[1:])
+                walk.append(r)
+                length += res.length + metric.d(res.path[-1], r)
+                for v in res.path[1:]:
+                    if not s_mask & (1 << v):
+                        s_mask |= 1 << v
+                        added.append(v)
+                residual = ResidualValuation(vs, s_mask)
+                if residual.uncovered == 0:
+                    break
+        phases.append(PhaseRecord(budget, tuple(results), tuple(added), length))
+        if residual.uncovered and budget >= cap and phase_gain == 0:
+            raise Uncoverable("no residual progress in a full phase at the "
+                              "budget cap")
+        if budget < cap:
+            budget *= 2
+    tour = LatencyTour.from_walk(metric, vs, walk)
+    return tour, PhaseLog(vs.alpha, rho, sigma, h, tuple(phases))
