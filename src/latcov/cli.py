@@ -371,7 +371,9 @@ def _supports(text: str) -> list[tuple[tuple[int, Fraction], ...]]:
 
 def _domain(args) -> int:
     """--domain, refused past the generators' cap before any valuation
-    tabulates 2^domain-sized masks."""
+    tabulates 2^domain-sized masks, and below 1."""
+    if args.domain < 1:
+        raise ValueError(f"--domain must be >= 1, got {args.domain}")
     check_cap("--domain", args.domain, GEN_CAP)
     return args.domain
 

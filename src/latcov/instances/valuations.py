@@ -72,8 +72,9 @@ class CoverFunction:
     def __init__(self, n: int, terms: Sequence[CoverTerm]):
         self.n = n
         self.terms = tuple(terms)
-        if any(t.members and t.members[-1] >= n for t in self.terms):
-            raise ValueError("term member out of range")
+        bad = [e for t in self.terms for e in t.members if not 0 <= e < n]
+        if bad:
+            raise ValueError(f"term member {bad[0]} out of range 0..{n - 1}")
         # int credits over cap_t = lcm(unit denominators), scaled over den;
         # _items: (mask, [(bit, credit)...], cap_t, scale_t, all-hit value)
         live = [t for t in self.terms if t.weight]
@@ -263,19 +264,21 @@ class ValuationSet:
     def alpha(self) -> Fraction:
         return alpha_from_epsilon(self.epsilon)
 
-    def first_cover(self, steps: Iterable[tuple[int, int]]
-                    ) -> list[int | None]:
+    def first_cover(self, steps: Iterable[tuple[int, int]],
+                    cover: Sequence[int | None] | None = None,
+                    mask: int = 0) -> list[int | None]:
         """First time each valuation reaches 1 along a sequence of steps.
 
         `steps` yields (point, time) pairs; each adds `point` to the set.
         A valuation never covered gets None. Stops pulling steps as soon
         as every valuation is covered, so a lazy generator is not advanced
-        past full cover.
+        past full cover. `cover` and `mask`, if given, resume an earlier
+        call: its result (copied, not changed) and the set its steps
+        reached, so the steps continue that sequence.
         """
-        cover: list[int | None] = [None] * self.m
-        pending = list(range(self.m))
-        mask = 0
-        for point, time in steps:
+        cover = [None] * self.m if cover is None else list(cover)
+        pending = [i for i, c in enumerate(cover) if c is None]
+        for point, time in steps if pending else ():
             mask |= 1 << point
             still = []
             for i in pending:

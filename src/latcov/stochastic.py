@@ -11,7 +11,9 @@ bitmasks, and a pure function of them: it names the next element, or None
 to stop. Replay asks it state by state along one outcome vector until it
 stops or everything is covered. The runs form a tree on the points drawn at
 the visited elements, which a caller replaying many outcomes keeps per
-policy for its loop (policy_cover_times), so each path is computed once.
+policy for its loop (policy_cover_times), so each path is computed once;
+each node carries the cover times reached at it, and a child adds its one
+step to its parent's.
 One memoized recursion over states gives a policy's exact expected cost
 (evaluate_policy) and, minimizing over the next element, the optimal policy
 (optimal_adaptive). That space is exponential, so both are capped very
@@ -105,40 +107,46 @@ def sample_outcome(inst: StochasticInstance, rng: random.Random
     return outcome_sampler(inst)(rng)
 
 
+def _node(inst: StochasticInstance, policy: AdaptivePolicy, scheduled: int,
+          realized: int, clock: int, cover: list, path: tuple
+          ) -> tuple | RealizedSchedule:
+    """The run-tree node at a state whose cover times so far are cover:
+    inner while anything is uncovered and the policy goes on, else a leaf."""
+    e = policy(scheduled, realized) if None in cover else None
+    if e is not None:
+        return e, {}, scheduled, realized, clock, cover, path
+    order = []
+    while path:
+        e, path = path
+        order.append(e)
+    times = tuple(inst.total_length if c is None else c for c in cover)
+    return RealizedSchedule(tuple(reversed(order)), times, sum(times))
+
+
 def _run(inst: StochasticInstance, policy: AdaptivePolicy,
          outcome: Sequence[int], runs: Optional[dict]) -> RealizedSchedule:
     """The policy's run on an outcome vector, walked down its run tree and
     grown where missing; a drawn point is checked before its node is stored.
     runs[None] is the root, an inner node (element, children by point,
-    scheduled, realized, path), a leaf the RealizedSchedule of its path, and
-    a path (element, point, clock, earlier path) or ()."""
-
-    def grow(scheduled, realized, path) -> tuple | RealizedSchedule:
-        steps, rest = [], path
-        while rest:
-            *step, rest = rest
-            steps.append(step)
-        steps.reverse()
-        cover = inst.valuations.first_cover(map(itemgetter(1, 2), steps))
-        e = policy(scheduled, realized) if None in cover else None
-        if e is not None:
-            return e, {}, scheduled, realized, path
-        times = tuple(inst.total_length if c is None else c for c in cover)
-        return RealizedSchedule(tuple(map(itemgetter(0), steps)), times,
-                                sum(times))
-
+    scheduled, realized, clock, cover times so far, path), a leaf the
+    RealizedSchedule of its path, and a path (element, earlier path) or ().
+    A new node resumes its parent's cover times with its one step, so a
+    run of depth k makes O(k) cover checks."""
     runs = {} if runs is None else runs
-    node = runs.get(None) or runs.setdefault(None, grow(0, 0, ()))
+    node = runs.get(None) or runs.setdefault(None, _node(
+        inst, policy, 0, 0, 0, inst.valuations.first_cover(()), ()))
     while type(node) is tuple:
-        e, kids, scheduled, realized, path = node
+        e, kids, scheduled, realized, clock, cover, path = node
         b = outcome[e]
         child = kids.get(b)
         if child is None:
             if b not in inst.support_points[e]:
                 raise ValueError(f"outcome {b} not in element {e}'s support")
-            clock = (path[2] if path else 0) + inst.lengths[e]
-            child = kids[b] = grow(scheduled | 1 << e, realized | 1 << b,
-                                   (e, b, clock, path))
+            clock += inst.lengths[e]
+            child = kids[b] = _node(
+                inst, policy, scheduled | 1 << e, realized | 1 << b, clock,
+                inst.valuations.first_cover(((b, clock),), cover, realized),
+                (e, path))
         node = child
     return node
 
@@ -159,9 +167,10 @@ def alg_ag_sto(inst: StochasticInstance, outcome: Sequence[int],
     outcome = tuple(outcome)
     if len(outcome) != inst.n:
         raise ValueError("outcome vector must cover every element")
-    for e, b in enumerate(outcome):
-        if b not in inst.support_points[e]:
-            raise ValueError(f"outcome {b} not in element {e}'s support")
+    if not all(map(frozenset.__contains__, inst.support_points, outcome)):
+        for e, b in enumerate(outcome):
+            if b not in inst.support_points[e]:
+                raise ValueError(f"outcome {b} not in element {e}'s support")
     if greedy is None:
         greedy = greedy_policy(inst)
     return _run(inst, greedy, outcome, runs)

@@ -283,6 +283,31 @@ def test_nonpositive_suite_jobs_is_bad_input(capsys):
         assert "Traceback" not in captured.err, argv
 
 
+def test_bad_domain_and_negative_members_are_refused_by_name(capsys,
+                                                             tmp_path):
+    stochastic = ["--elements", "0:1", "--lengths", "1"]
+    path = tmp_path / "negative.lcov"
+    path.write_text("LATCOV v1 ranking\nVALUATIONS 1 3 wtc 1/2\n"
+                    "wtc 1 ; 1/1 : -1:1/1 2:1/1\nEND\n")
+    cases = [
+        (["ssc", "--domain", "0", "--sets", "0", *stochastic],
+         "--domain must be >= 1, got 0"),
+        (["ssc", "--domain", "-3", "--sets", "0", *stochastic],
+         "--domain must be >= 1, got -3"),
+        (["ssc", "--domain", "4", "--sets", "-1", *stochastic],
+         "term member -1 out of range 0..3"),
+        (["sgmssc", "--domain", "3", "--sets=-2,1", "--reqs", "1",
+          *stochastic], "term member -2 out of range 0..2"),
+        (["rank", "--in", str(path)], "term member -1 out of range 0..2"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert message in captured.err, (argv, captured.err)
+        assert "Traceback" not in captured.err, argv
+
+
 def test_repeat_mult_out_of_range_is_bad_input(capsys):
     star = os.path.join(FIXTURES, "star.lcov")
     for mult in (str(10**9), "-1"):

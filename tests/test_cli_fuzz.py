@@ -10,6 +10,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import tempfile
 
 import pytest
@@ -275,3 +276,82 @@ def test_cut_oracle_answers_or_raises_value_error(query):
     assert _rooted_tree(edges, 0), query
     assert value == brute_min_cut(edges, costs, 0, bound)
     check_cut(edges, costs, 0, bound, value, witness)
+
+
+# wtc term lines and STOCHASTIC element lines as token streams: a valid
+# line with some tokens swapped for malformed ones, namely negative and
+# out-of-domain members, bad member:unit items and rationals, a missing
+# " : ", an odd point/probability count and zero or negative lengths
+BAD_RATS = ("0/1", "-1/2", "3/2", "1/0", "x", "", "1/2/3")
+BAD_ITEMS = ("x:1/2", "1:", ":1/2", "1", "1:1/1:2")
+
+
+def _spoil(rng, tokens, bad, rate):
+    return [rng.choice(bad) if rng.random() < rate else t for t in tokens]
+
+
+def wtc_line(rng, n, rate):
+    terms = []
+    for weight in rng.choice((["1/1"], ["1/2", "1/2"])):
+        members = sorted(rng.sample(range(n), rng.randint(1, n)))
+        items = [f"{e}:1/1" for e in members]
+        if rng.random() < rate:
+            bad = rng.choice((-2, -1, n, n + 1))
+            items.insert(0 if bad < 0 else len(items), f"{bad}:1/1")
+        items = _spoil(rng, items, BAD_ITEMS, rate)
+        sep = " : " if rng.random() >= rate else rng.choice((" ", " :", ""))
+        terms.append(_spoil(rng, [weight], BAD_RATS, rate)[0] + sep
+                     + " ".join(items))
+    count = len(terms) + (rng.choice((-1, 1)) if rng.random() < rate else 0)
+    return " ; ".join([f"wtc {count}"] + terms)
+
+
+def element_line(rng, n, rate):
+    probs = rng.choice((["1/1"], ["1/2", "1/2"], ["1/3", "2/3"]))
+    points = sorted(rng.sample(range(n), min(n, len(probs))))
+    points += [rng.choice((-1, n))] * (len(probs) - len(points))
+    points = [str(rng.choice((-1, n))) if rng.random() < rate else str(b)
+              for b in points]
+    tokens = [t for pair in zip(points, _spoil(rng, probs, BAD_RATS, rate))
+              for t in pair]
+    if rng.random() < rate:
+        tokens.pop()   # an odd point/probability count
+    length = str(rng.randint(1, 3))
+    if rng.random() < rate:
+        length = rng.choice(("0", "-1", "x"))
+    sep = " : " if rng.random() >= rate else rng.choice((" ", " :", ""))
+    return length + sep + " ".join(tokens)
+
+
+@settings(derandomize=True, max_examples=400, deadline=5_000)
+@given(n=st.integers(1, 4), m=st.integers(1, 2), k=st.integers(1, 3),
+       rate=st.sampled_from((0.0, 0.05, 0.1, 0.3)),
+       seed=st.integers(0, 2**32))
+def test_term_and_element_token_streams_keep_exit_contract(
+        n, m, k, rate, seed):
+    rng = random.Random(seed)
+    valuations = f"VALUATIONS {m} {n} wtc 1/2\n" + "\n".join(
+        wtc_line(rng, n, rate) for _ in range(m))
+    elements = [element_line(rng, n, rate) for _ in range(k)]
+    texts = {
+        "rank": f"LATCOV v1 ranking\n{valuations}\nEND\n",
+        "wssr": (f"LATCOV v1 wssr\n{valuations}\nSTOCHASTIC {k} {n}\n"
+                 + "\n".join(elements) + "\nEND\n"),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for cmd, text in texts.items():
+            try:
+                loads(text)
+            except ValueError:   # CapExceeded included
+                pass
+            path = os.path.join(tmp, f"{cmd}.lcov")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            argv = [cmd, "--in", path] + (
+                ["--samples", "20"] if cmd == "wssr" else [])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2, 3), (argv, text)
+            assert "Traceback" not in err.getvalue(), (argv, text)

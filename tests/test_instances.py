@@ -120,6 +120,19 @@ def test_alpha_upper_bounds_log():
         assert float(a) <= 1 + math.log(1 / eps) + 3e-9
 
 
+def test_negative_term_members_are_refused_by_name():
+    for build in (lambda: ValuationSet.coverage(4, [[-1]]),
+                  lambda: ValuationSet.singlegroup(3, [[-2, 1]], [1]),
+                  lambda: serial.loads(
+                      "LATCOV v1 ranking\nVALUATIONS 1 3 wtc 1/2\n"
+                      "wtc 1 ; 1/1 : -1:1/1 2:1/1\nEND\n")):
+        with pytest.raises(ValueError, match=r"term member -\d out of range "
+                                             r"0\.\.[23]$"):
+            build()
+    with pytest.raises(ValueError, match=r"term member 4 out of range 0\.\.3"):
+        ValuationSet.coverage(4, [[1, 4]])
+
+
 def test_tree_validation():
     with pytest.raises(ValueError):  # group member internal
         GroupedTree([None, 0, 1], [0, 1, 1], 0, [[1]], [1])

@@ -15,7 +15,8 @@ import pytest
 
 from latcov import cli, stochastic
 from latcov.errors import CapExceeded
-from latcov.instances.generators import random_instance
+from latcov.instances.generators import (STYLES, random_instance,
+                                         random_valuations)
 from latcov.instances.stoch import StochasticInstance
 from latcov.instances.valuations import ValuationSet
 from latcov.ranking import (ResidualFunction, alg_ag, check_decay,
@@ -26,6 +27,7 @@ from latcov.stochastic import (RealizedSchedule, alg_ag_sto,
                                outcome_sampler, policy_cover_times,
                                reduce_filter, reduce_sgmssc, reduce_ssc,
                                sample_outcome, sto_residual_score)
+from util import reference_run
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -733,6 +735,115 @@ def test_replay_stops_at_full_cover():
     # alg_ag_sto still checks the whole vector up front
     with pytest.raises(ValueError, match="support"):
         alg_ag_sto(inst, (0, 7))
+
+
+def tree_shape(node):
+    """A run tree's topology, readable from the resumed nodes and from
+    reference_run's: (element, scheduled, realized, children) per inner
+    node, the RealizedSchedule at a leaf."""
+    if type(node) is not tuple:
+        return node
+    e, kids, scheduled, realized = node[:4]
+    return e, scheduled, realized, {b: tree_shape(c) for b, c in kids.items()}
+
+
+def test_resumed_run_tree_matches_parent_run():
+    fixtures = draw_fixtures() + [
+        random_instance("random-stochastic", n, seed).stochastic
+        for n in range(5, 10) for seed in range(4)]
+    for k, inst in enumerate(fixtures):
+        policies = {"greedy": greedy_policy(inst),
+                    "in_order": in_order_policy(inst)}
+        try:
+            policies["optimal"] = optimal_adaptive(inst)[0]
+        except CapExceeded:
+            pass
+        draw, rng = outcome_sampler(inst), random.Random(f"resume:{k}")
+        outcomes = [draw(rng) for _ in range(40)]
+        greedy, ours, theirs = policies["greedy"], {}, {}
+        for w in outcomes:
+            want = reference_run(inst, greedy, w, None)
+            assert alg_ag_sto(inst, w) == want, (k, w)
+            assert alg_ag_sto(inst, w, greedy, ours) == want == \
+                reference_run(inst, greedy, w, theirs), (k, w)
+        assert tree_shape(ours[None]) == tree_shape(theirs[None]), k
+        for name, policy in policies.items():
+            ours, theirs = {}, {}
+            for w in outcomes:
+                want = reference_run(inst, policy, w, theirs).cover_times
+                assert policy_cover_times(inst, policy, w) == want
+                assert policy_cover_times(inst, policy, w, ours) == want, \
+                    (k, name, w)
+            assert tree_shape(ours[None]) == tree_shape(theirs[None]), \
+                (k, name)
+
+
+def test_resumed_first_cover_matches_from_scratch():
+    rng = random.Random("first-cover")
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        vs = random_valuations(rng.choice(STYLES), n, trial)
+        steps = [(rng.randrange(n), t) for t in range(1, rng.randint(0, 9))]
+        whole = vs.first_cover(steps)
+        cut = rng.randint(0, len(steps))
+        head = vs.first_cover(steps[:cut])
+        start = list(head)
+        mask = 0
+        for point, _ in steps[:cut]:
+            mask |= 1 << point
+        assert vs.first_cover(steps[cut:], head, mask) == whole, (trial, cut)
+        assert head == start   # the start is copied, not changed
+    # everything covered at the start: no step is pulled
+    vs = ValuationSet.coverage(3, [[0], [1, 2]])
+
+    def untouched():
+        raise AssertionError("a step was pulled")
+        yield
+
+    assert vs.first_cover(untouched(), [4], 0b11) == [4]
+    # nothing ever covered: every step is pulled and every time stays None
+    vs = ValuationSet.singlegroup(4, [[0, 1], [2, 3]], [2, 2])
+    pulled = []
+
+    def steps():
+        for t, point in enumerate((0, 2, 0, 2), start=1):
+            pulled.append(t)
+            yield point, t
+
+    assert vs.first_cover(steps(), [None, None], 0) == [None, None] == \
+        vs.first_cover([(0, 1), (2, 2), (0, 3), (2, 4)])
+    assert pulled == [1, 2, 3, 4]
+    assert vs.first_cover([(3, 9)], [None, 2], 0b101) == [None, 2]
+    assert vs.first_cover([(1, 9)], [None, None], 0b101) == [9, None]
+
+
+def test_new_node_pulls_one_cover_step(monkeypatch):
+    # one sgmssc set needing all 40 coins' even points: nearly every run
+    # schedules all 40 coins, so the tree grows paths of depth 40
+    coins = 40
+    inst = reduce_sgmssc(2 * coins, [list(range(0, 2 * coins, 2))], [coins],
+                         [((2 * j, HALF), (2 * j + 1, HALF))
+                          for j in range(coins)], (1,) * coins)
+    calls, pulls = [], []
+    first_cover = ValuationSet.first_cover
+
+    def counted(self, steps, *start):
+        calls.append(1)
+
+        def pulled():
+            for step in steps:
+                pulls.append(1)
+                yield step
+
+        return first_cover(self, pulled(), *start)
+
+    monkeypatch.setattr(ValuationSet, "first_cover", counted)
+    draw, rng, runs = outcome_sampler(inst), random.Random("deep"), {}
+    policy = in_order_policy(inst)
+    for _ in range(20):   # covered at the last coin, or never: time 40
+        assert policy_cover_times(inst, policy, draw(rng), runs) == (coins,)
+    assert len(calls) > 20 * coins // 2
+    assert len(pulls) <= len(calls)
 
 
 def test_invalid_outcome_leaves_no_node():

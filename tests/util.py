@@ -3,12 +3,14 @@ machinery than the library routines they check."""
 
 from fractions import Fraction
 from itertools import permutations
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from latcov.errors import Uncoverable
 from latcov.mlsc import (LatencyTour, PhaseLog, PhaseRecord,
                          ResidualValuation, augmentation_count)
 from latcov.orienteering import SopQuery
+from latcov.stochastic import RealizedSchedule
 
 
 def perm_optimum(vs):
@@ -376,3 +378,39 @@ def reference_alg_mlsc(metric, vs, solver, rho, sigma):
             budget *= 2
     tour = LatencyTour.from_walk(metric, vs, walk)
     return tour, PhaseLog(vs.alpha, rho, sigma, h, tuple(phases))
+
+
+def reference_run(inst, policy, outcome, runs):
+    """The run-tree replay as it stood when each new node unwound its whole
+    path and recomputed first_cover from the empty set: an inner node is
+    (element, children by point, scheduled, realized, path), a path
+    (element, point, clock, earlier path) or ()."""
+
+    def grow(scheduled, realized, path):
+        steps, rest = [], path
+        while rest:
+            *step, rest = rest
+            steps.append(step)
+        steps.reverse()
+        cover = inst.valuations.first_cover(map(itemgetter(1, 2), steps))
+        e = policy(scheduled, realized) if None in cover else None
+        if e is not None:
+            return e, {}, scheduled, realized, path
+        times = tuple(inst.total_length if c is None else c for c in cover)
+        return RealizedSchedule(tuple(map(itemgetter(0), steps)), times,
+                                sum(times))
+
+    runs = {} if runs is None else runs
+    node = runs.get(None) or runs.setdefault(None, grow(0, 0, ()))
+    while type(node) is tuple:
+        e, kids, scheduled, realized, path = node
+        b = outcome[e]
+        child = kids.get(b)
+        if child is None:
+            if b not in inst.support_points[e]:
+                raise ValueError(f"outcome {b} not in element {e}'s support")
+            clock = (path[2] if path else 0) + inst.lengths[e]
+            child = kids[b] = grow(scheduled | 1 << e, realized | 1 << b,
+                                   (e, b, clock, path))
+        node = child
+    return node
