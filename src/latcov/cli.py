@@ -9,8 +9,9 @@ batteries.
 Output discipline: every record is a pure function of the parsed
 configuration, so a repeated invocation produces identical bytes on stdout
 or in --out.  Wall-clock timings go to stderr, where they cannot break that
-guarantee.  Exit codes: 0 success, 2 invariant violation (bad config, cap
-hit, failed hard check), 3 infeasibility.
+guarantee.  Handlers return rows of record fields; `main` alone builds the
+records and the exit code: 0 success, 2 invariant violation (bad config,
+cap hit, or a record with ok=fail), 3 infeasibility.
 """
 
 import argparse
@@ -118,11 +119,16 @@ def _rat(x) -> str:
     return str(Fraction(x))
 
 
-def _versus(value, oracle) -> dict:
-    """The oracle fields of a record: the oracle value and value / oracle."""
+def _verdict(value, oracle, ok, rows=None) -> dict:
+    """The checked fields of a record: the oracle value, value / oracle,
+    the checkpoint rows if given, and pass or fail."""
     num, den = Fraction(value), Fraction(oracle)
-    return {"oracle": _rat(den), "ratio": _rat(num / den) if den else "",
-            "ratio_num": _rat(num), "ratio_den": _rat(den)}
+    fields = {"oracle": _rat(den), "ratio": _rat(num / den) if den else "",
+              "ratio_num": _rat(num), "ratio_den": _rat(den),
+              "ok": "pass" if ok else "fail"}
+    if rows is not None:
+        fields["checkpoints"] = _fmt_rows(rows)
+    return fields
 
 
 def _fmt_rows(rows) -> str:
@@ -181,21 +187,19 @@ def _resolve_instance(args, kinds: set[str], what: str) -> Instance:
 
 # ---- single-run subcommands -------------------------------------------------
 
-def cmd_gen(args, cfg: RunConfig):
+def cmd_gen(args):
     inst = parse_genspec(args.spec)
     text = serial.dumps(inst)
     if args.dest == "-":
         sys.stdout.write(text)
-        return [], 0
+        return []
     with open(args.dest, "w", newline="") as fh:
         fh.write(text)
-    rec = ResultRecord("gen", cfg.digest(), seed=str(args.seed),
-                       detail=_detail({"kind": inst.kind, "path": args.dest,
-                                       "spec": args.spec}))
-    return [rec], 0
+    return [{"detail": _detail({"kind": inst.kind, "path": args.dest,
+                                "spec": args.spec})}]
 
 
-def cmd_rank(args, cfg: RunConfig):
+def cmd_rank(args):
     inst = _resolve_instance(args, {"ranking"}, "rank")
     vs = inst.valuations
     order = alg_ag(vs)
@@ -204,15 +208,12 @@ def cmd_rank(args, cfg: RunConfig):
                                  "order": _join(order.permutation)})}
     if args.oracle:
         opt = brute_force_ranking(vs)
-        ok, rows = check_recurrence(order, opt, vs.alpha)
-        fields.update(_versus(order.objective, opt.objective),
-                      checkpoints=_fmt_rows(rows),
-                      ok="pass" if ok else "fail")
-    rec = ResultRecord("rank", cfg.digest(), seed=str(args.seed), **fields)
-    return [rec], (0 if fields.get("ok") != "fail" else 2)
+        fields.update(_verdict(order.objective, opt.objective,
+                               *check_recurrence(order, opt, vs.alpha)))
+    return [fields]
 
 
-def cmd_sop(args, cfg: RunConfig):
+def cmd_sop(args):
     inst = _resolve_instance(args, {"mlsc"}, "sop")
     metric, vs = inst.metric, inst.valuations
     budget = args.budget if args.budget is not None else 2 * metric.diameter
@@ -223,19 +224,15 @@ def cmd_sop(args, cfg: RunConfig):
               "detail": _detail({"budget": budget, "length": res.length,
                                  "path": _join(res.path),
                                  "solver": args.solver})}
-    code = 0
     if args.oracle and args.solver == "greedy":
         exact = sop_exact(query)
-        rho = greedy_rho(metric.n)
-        ok = res.value * rho >= exact.value and res.length <= budget
-        fields.update(_versus(res.value, exact.value),
-                      ok="pass" if ok else "fail")
-        code = 0 if ok else 2
-    rec = ResultRecord("sop", cfg.digest(), seed=str(args.seed), **fields)
-    return [rec], code
+        ok = res.value * res.guarantee[0] >= exact.value and \
+            res.length <= budget
+        fields.update(_verdict(res.value, exact.value, ok))
+    return [fields]
 
 
-def cmd_mlsc(args, cfg: RunConfig):
+def cmd_mlsc(args):
     inst = _resolve_instance(args, {"mlsc"}, "mlsc")
     metric, vs = inst.metric, inst.valuations
     if args.solver == "exact":
@@ -248,16 +245,11 @@ def cmd_mlsc(args, cfg: RunConfig):
                                  "phases": len(log.phases),
                                  "solver": args.solver,
                                  "times": _join(tour.cover_times)})}
-    code = 0
     if args.oracle:
         opt = brute_force_latency(metric, vs)
-        ok, rows = check_mlsc_recurrence(tour, log, opt)
-        fields.update(_versus(tour.objective, opt.objective),
-                      checkpoints=_fmt_rows(rows),
-                      ok="pass" if ok else "fail")
-        code = 0 if ok else 2
-    rec = ResultRecord("mlsc", cfg.digest(), seed=str(args.seed), **fields)
-    return [rec], code
+        fields.update(_verdict(tour.objective, opt.objective,
+                               *check_mlsc_recurrence(tour, log, opt)))
+    return [fields]
 
 
 def _tree_from_metric(inst: Instance, embed_seed: int):
@@ -279,7 +271,7 @@ def _tree_from_metric(inst: Instance, embed_seed: int):
     return emb.grouped(groups, reqs)
 
 
-def cmd_lcst(args, cfg: RunConfig):
+def cmd_lcst(args):
     if not 0 <= args.repeat_mult <= size_cap(GEN_CAP):
         raise ValueError(f"--repeat-mult must be in 0..{size_cap(GEN_CAP)}, "
                          f"got {args.repeat_mult}")
@@ -299,12 +291,11 @@ def cmd_lcst(args, cfg: RunConfig):
               "levels": sol.levels, "lp": _rat(sol.objective),
               "phases": sum(1 for p in report.phases if p.accepted),
               "times": _join(tour.cover_times)}
-    rec = ResultRecord("lcst", cfg.digest(), seed=str(round_seed),
-                       objective=_rat(tour.objective), detail=_detail(detail))
-    return [rec], 0
+    return [{"seed": str(round_seed), "objective": _rat(tour.objective),
+             "detail": _detail(detail)}]
 
 
-def _stochastic_records(st, args, cfg: RunConfig, command: str):
+def _stochastic_rows(st, args):
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     policy = greedy_policy(st)
@@ -320,22 +311,17 @@ def _stochastic_records(st, args, cfg: RunConfig, command: str):
         detail = {"mode": "mc", "samples": args.samples}
     detail.update(n=st.n, m=st.valuations.m)
     fields = {"objective": _rat(objective), "detail": _detail(detail)}
-    code = 0
     if args.oracle:
         opt_policy, opt_cost = optimal_adaptive(st)
-        ok, rows = check_sto_recurrence(st, opt_policy, samples=args.samples,
-                                        seed=args.seed, greedy=policy)
-        fields.update(_versus(objective, opt_cost),
-                      checkpoints=_fmt_rows(rows),
-                      ok="pass" if ok else "fail")
-        code = 0 if ok else 2
-    rec = ResultRecord(command, cfg.digest(), seed=str(args.seed), **fields)
-    return [rec], code
+        fields.update(_verdict(objective, opt_cost, *check_sto_recurrence(
+            st, opt_policy, samples=args.samples, seed=args.seed,
+            greedy=policy)))
+    return [fields]
 
 
-def cmd_wssr(args, cfg: RunConfig):
+def cmd_wssr(args):
     inst = _resolve_instance(args, {"wssr"}, "wssr")
-    return _stochastic_records(inst.stochastic, args, cfg, "wssr")
+    return _stochastic_rows(inst.stochastic, args)
 
 
 def _ints(text: str) -> list[int]:
@@ -378,32 +364,31 @@ def _domain(args) -> int:
     return args.domain
 
 
-def cmd_ssc(args, cfg: RunConfig):
+def cmd_ssc(args):
     st = reduce_ssc(_domain(args), _int_sets(args.sets),
                     _supports(args.elements), _ints(args.lengths))
-    return _stochastic_records(st, args, cfg, "ssc")
+    return _stochastic_rows(st, args)
 
 
-def cmd_filters(args, cfg: RunConfig):
+def cmd_filters(args):
     st = reduce_filter([tuple(q) for q in _int_sets(args.queries)],
                        _fracs(args.selectivities), _ints(args.lengths),
                        latency=args.latency)
-    return _stochastic_records(st, args, cfg, "filters")
+    return _stochastic_rows(st, args)
 
 
-def cmd_sgmssc(args, cfg: RunConfig):
+def cmd_sgmssc(args):
     st = reduce_sgmssc(_domain(args), _int_sets(args.sets), _ints(args.reqs),
                        _supports(args.elements), _ints(args.lengths))
-    return _stochastic_records(st, args, cfg, "sgmssc")
+    return _stochastic_rows(st, args)
 
 
 # ---- suite batteries --------------------------------------------------------
 # Each battery function maps one seed and the Monte-Carlo probe size
-# (--samples) to (record fields, hard-failure flag).
-# Hard failures are proved violations; Monte-Carlo probes within their slack
-# only report margins.
+# (--samples) to its record fields; ok=fail marks a proved violation.
+# Monte-Carlo probes within their slack only report margins.
 
-def _suite_ranking(seed: int, samples: int) -> tuple[dict, bool]:
+def _suite_ranking(seed: int, samples: int) -> dict:
     style = "explicit" if seed % 2 == 0 else "singlegroup"
     vs = random_valuations(style, 4 + seed % 3, seed)
     order = alg_ag(vs)
@@ -423,50 +408,44 @@ def _suite_ranking(seed: int, samples: int) -> tuple[dict, bool]:
             chain.append(mask)
         claim_ok &= check_log_claim(fn, chain) <= vs.alpha
 
-    ok = rec_ok and ratio_ok and claim_ok
-    fields = dict(objective=_rat(order.objective),
-                  **_versus(order.objective, opt.objective),
-                  checkpoints=_fmt_rows(rows), ok="pass" if ok else "fail",
-                  detail=_detail({"claim": int(claim_ok), "kind": vs.kind,
-                                  "recurrence": int(rec_ok)}))
-    return fields, not ok
+    return dict(objective=_rat(order.objective),
+                **_verdict(order.objective, opt.objective,
+                           rec_ok and ratio_ok and claim_ok, rows),
+                detail=_detail({"claim": int(claim_ok), "kind": vs.kind,
+                                "recurrence": int(rec_ok)}))
 
 
-def _suite_mlsc(seed: int, samples: int) -> tuple[dict, bool]:
+def _suite_mlsc(seed: int, samples: int) -> dict:
     inst = random_instance("uniform-metric", 4 + seed % 2, seed)
     tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
     opt = brute_force_latency(inst.metric, inst.valuations)
     rec_ok, rows = check_mlsc_recurrence(tour, log, opt)
     alpha = inst.valuations.alpha
     ratio_ok = tour.objective <= 56 * alpha * opt.objective
-    ok = rec_ok and ratio_ok
-    fields = dict(objective=_rat(tour.objective),
-                  **_versus(tour.objective, opt.objective),
-                  checkpoints=_fmt_rows(rows), ok="pass" if ok else "fail",
-                  detail=_detail({"phases": len(log.phases),
-                                  "recurrence": int(rec_ok)}))
-    return fields, not ok
+    return dict(objective=_rat(tour.objective),
+                **_verdict(tour.objective, opt.objective,
+                           rec_ok and ratio_ok, rows),
+                detail=_detail({"phases": len(log.phases),
+                                "recurrence": int(rec_ok)}))
 
 
-def _suite_lcst(seed: int, samples: int) -> tuple[dict, bool]:
+def _suite_lcst(seed: int, samples: int) -> dict:
     inst = random_instance("random-tree", 5 + seed % 3, seed)
     sol = solve_lp_lcst(inst.tree)
     tour, report = alg_lcst(inst.tree, seed, lp=sol)
-    lb_ok = sol.objective <= tour.objective
     # margin probe: accepted-phase weight against the level cap
     worst = 0.0
     for ph in report.phases:
         if ph.accepted and len(ph.walk) > 1:
             worst = max(worst, ph.weight / weight_cap(inst.tree, ph.level))
-    fields = dict(objective=_rat(tour.objective),
-                  **_versus(tour.objective, sol.objective),
-                  ok="pass" if lb_ok else "fail",
-                  detail=_detail({"fallback": int(report.fallback),
-                                  "weight_margin": f"{worst:.4f}"}))
-    return fields, not lb_ok
+    return dict(objective=_rat(tour.objective),
+                **_verdict(tour.objective, sol.objective,
+                           sol.objective <= tour.objective),
+                detail=_detail({"fallback": int(report.fallback),
+                                "weight_margin": f"{worst:.4f}"}))
 
 
-def _suite_wssr(seed: int, samples: int) -> tuple[dict, bool]:
+def _suite_wssr(seed: int, samples: int) -> dict:
     st = random_instance("random-stochastic", 3 + seed % 2, seed).stochastic
     opt_policy, opt_cost = optimal_adaptive(st)
     greedy = greedy_policy(st)
@@ -479,13 +458,10 @@ def _suite_wssr(seed: int, samples: int) -> tuple[dict, bool]:
     margin = min((float(p) / 4 + float(rs) + 3 * se - float(r)
                   for _, r, p, rs, se in rows
                   if r or p or rs or se), default=0.0)
-    ok = ratio_ok and rec_ok
-    fields = dict(objective=_rat(alg_cost),
-                  **_versus(alg_cost, opt_cost),
-                  checkpoints=_fmt_rows(rows), ok="pass" if ok else "fail",
-                  detail=_detail({"margin": f"{margin:.4f}",
-                                  "recurrence": int(rec_ok)}))
-    return fields, not ok
+    return dict(objective=_rat(alg_cost),
+                **_verdict(alg_cost, opt_cost, ratio_ok and rec_ok, rows),
+                detail=_detail({"margin": f"{margin:.4f}",
+                                "recurrence": int(rec_ok)}))
 
 
 SUITE_FNS = {"ranking-lemmas": _suite_ranking, "mlsc-lemmas": _suite_mlsc,
@@ -570,25 +546,23 @@ def _suite_outputs(names, seeds: int, samples: int, workers: int) -> list:
     return outs
 
 
-def cmd_suite(args, cfg: RunConfig):
+def cmd_suite(args):
     if args.seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {args.seeds}")
     names = SUITE_NAMES if args.name == "lemmas" else (args.name,)
     outputs = _suite_outputs(names, args.seeds, args.samples,
                              suite_workers(args.jobs, args.seeds))
-    digest = cfg.digest()
-    records, code = [], 0
+    rows = []
     for name, outs in zip(names, outputs):
-        records.extend(ResultRecord(f"suite:{name}", digest, seed=str(s),
-                                    **fields)
-                       for s, (fields, _) in enumerate(outs))
-        hard = sum(1 for _, h in outs if h)
-        records.append(ResultRecord(
-            f"suite:{name}", digest, ok="pass" if hard == 0 else "fail",
-            detail=_detail({"failures": hard, "seeds": args.seeds})))
-        if hard:
-            code = 2
-    return records, code
+        command = f"suite:{name}"
+        rows.extend({"command": command, "seed": str(s), **fields}
+                    for s, fields in enumerate(outs))
+        hard = sum(1 for fields in outs if fields["ok"] == "fail")
+        rows.append({"command": command, "seed": "",
+                     "ok": "pass" if hard == 0 else "fail",
+                     "detail": _detail({"failures": hard,
+                                        "seeds": args.seeds})})
+    return rows
 
 
 # ---- emission and entry point -----------------------------------------------
@@ -600,8 +574,7 @@ def emit(records, fmt: str, out_path) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())
+        writer.writerows(rec.row() for rec in records)
         text = buf.getvalue()
     else:
         text = json.dumps([rec.as_obj() for rec in records],
@@ -715,12 +688,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig.from_args(args)
     # the cached parser holds the handlers first bound; run the current one
     handler = globals().get(args.func.__name__, args.func)
     start = time.perf_counter()
     try:
-        records, code = handler(args, cfg)
+        rows = handler(args)
     except (Infeasible, Uncoverable) as exc:
         print(f"latcov {args.command}: infeasible: {exc}", file=sys.stderr)
         return 3
@@ -728,10 +700,14 @@ def main(argv=None) -> int:
         print(f"latcov {args.command}: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start
+    base = {"command": args.command,
+            "config": RunConfig.from_args(args).digest(),
+            "seed": str(args.seed)}
+    records = [ResultRecord(**{**base, **row}) for row in rows]
     emit(records, args.format, args.out)
     print(f"latcov {args.command}: {len(records)} record(s), "
           f"wall-clock {elapsed:.3f}s", file=sys.stderr)
-    return code
+    return 2 if any(rec.ok == "fail" for rec in records) else 0
 
 
 if __name__ == "__main__":

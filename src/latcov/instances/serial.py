@@ -46,21 +46,39 @@ def _ratio(p: int, q: int) -> str:   # _rat(Fraction(p, q)) for q > 0
     return f"{p // g}/{q // g}"
 
 
-def _parse_pq(tok: str) -> tuple[int, int]:   # q > 0, not reduced
+class _Malformed(ValueError):
+    """A token or row the grammar cannot read; `loads` names its line."""
+
+
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise _Malformed(f"expected an integer, got {tok!r}") from None
+
+
+def _fields(text: str, sep, count: int) -> list[str]:
+    parts = text.split(sep, count - 1)
+    if len(parts) != count:
+        raise _Malformed(f"expected {count} fields split by {sep or ' '!r}")
+    return parts
+
+
+def _parse_pq(tok: str, num=int) -> tuple[int, int]:   # q > 0, not reduced
     if "/" not in tok:
         raise ValueError(f"rational must be written p/q, got {tok!r}")
-    p, q = (int(t) for t in tok.split("/", 1))
+    p, q = (num(t) for t in tok.split("/", 1))
     if q == 0:
         raise ValueError(f"rational has a zero denominator: {tok!r}")
     return (-p, -q) if q < 0 else (p, q)
 
 
-def parse_rat(tok: str) -> Fraction:
-    return Fraction(*_parse_pq(tok))
+def parse_rat(tok: str) -> Fraction:   # explicit tables keep int()'s words
+    return Fraction(*_parse_pq(tok, _int))
 
 
 def _count(tok: str, field: str) -> int:
-    n = int(tok)
+    n = _int(tok)
     if n < 0:
         raise ValueError(f"{field} must be >= 0, got {n}")
     return n
@@ -151,68 +169,73 @@ def loads(text: str) -> Instance:
         return line
 
     metric = tree = valuations = stochastic = None
-    while True:
-        line = take()
-        toks = line.split()
-        if not toks:
-            raise ValueError("blank lines are not allowed")
-        tag = toks[0]
-        if tag == "END":
-            break
-        if tag in HEADER_FIELDS and len(toks) != 1 + HEADER_FIELDS[tag]:
-            raise ValueError(f"{tag} takes {HEADER_FIELDS[tag]} fields")
-        if tag in ("METRIC", "VALUATIONS"):   # before any row is parsed
-            n = int(toks[1 if tag == "METRIC" else 2])
-            check_cap(tag, n, GEN_CAP)
-        if tag == "METRIC":
-            n, root = _count(toks[1], "METRIC vertex count"), int(toks[2])
-            rows = [[int(x) for x in take().split()] for _ in range(n)]
-            metric = metric_from_matrix(rows, root)
-        elif tag == "TREE":
-            nv, root = _count(toks[1], "TREE vertex count"), int(toks[2])
-            if nv - 1 > len(lines) - pos:   # before allocating nv slots
-                raise ValueError(f"TREE {nv}: too few rows in the file")
-            parent: list = [None] * nv
-            weight = [0] * nv
-            for _ in range(nv - 1):
-                v, p, w = (int(x) for x in take().split())
-                if not 0 <= v < nv:
-                    raise ValueError(f"tree vertex {v} out of range")
-                parent[v], weight[v] = p, w
-            gline = take().split()
-            if len(gline) != 2 or gline[0] != "GROUPS":
-                raise ValueError("TREE must be followed by 'GROUPS <count>'")
-            groups, reqs = [], []
-            for _ in range(_count(gline[1], "GROUPS count")):
-                k_part, members = take().split(" : ", 1)
-                reqs.append(int(k_part))
-                groups.append([int(x) for x in members.split()])
-            tree = GroupedTree(parent, weight, root, groups, reqs)
-        elif tag == "VALUATIONS":
-            m = _count(toks[1], "VALUATIONS function count")
-            n = _count(toks[2], "VALUATIONS ground set size")
-            vkind, eps = toks[3], parse_rat(toks[4])
-            fns = [_parse_function(take(), n, i) for i in range(m)]
-            valuations = ValuationSet(n, fns, vkind, eps)
-        elif tag == "STOCHASTIC":
-            nelems = _count(toks[1], "STOCHASTIC element count")
-            domain = _count(toks[2], "STOCHASTIC domain size")
-            if valuations is None:
-                raise ValueError("STOCHASTIC requires a preceding VALUATIONS")
-            supports, lengths = [], []
-            for _ in range(nelems):
-                len_part, body = take().split(" : ", 1)
-                lengths.append(int(len_part))
-                items = body.split()
-                if len(items) % 2:
-                    raise ValueError("support needs point/probability pairs")
-                supp = tuple((int(items[i]), parse_rat(items[i + 1]))
-                             for i in range(0, len(items), 2))
-                supports.append(supp)
-            stochastic = StochasticInstance(domain, tuple(supports),
-                                            tuple(lengths), valuations)
-        else:
-            raise ValueError(f"unknown section {tag!r}")
+    try:
+        while True:
+            line = take()
+            toks = line.split()
+            if not toks:
+                raise ValueError("blank lines are not allowed")
+            tag = toks[0]
+            if tag == "END":
+                break
+            if tag in HEADER_FIELDS and len(toks) != 1 + HEADER_FIELDS[tag]:
+                raise ValueError(f"{tag} takes {HEADER_FIELDS[tag]} fields")
+            if tag in ("METRIC", "VALUATIONS"):   # before any row is parsed
+                n = _int(toks[1 if tag == "METRIC" else 2])
+                check_cap(tag, n, GEN_CAP)
+            if tag == "METRIC":
+                n, root = _count(toks[1], "METRIC vertex count"), _int(toks[2])
+                rows = [[_int(x) for x in take().split()] for _ in range(n)]
+                metric = metric_from_matrix(rows, root)
+            elif tag == "TREE":
+                nv, root = _count(toks[1], "TREE vertex count"), _int(toks[2])
+                if nv - 1 > len(lines) - pos:   # before allocating nv slots
+                    raise ValueError(f"TREE {nv}: too few rows in the file")
+                parent: list = [None] * nv
+                weight = [0] * nv
+                for _ in range(nv - 1):
+                    v, p, w = (_int(x) for x in _fields(take(), None, 3))
+                    if not 0 <= v < nv:
+                        raise ValueError(f"tree vertex {v} out of range")
+                    parent[v], weight[v] = p, w
+                gline = take().split()
+                if len(gline) != 2 or gline[0] != "GROUPS":
+                    raise ValueError("TREE must be followed by 'GROUPS <count>'")
+                tag = "GROUPS"   # the section a bad row's refusal names
+                groups, reqs = [], []
+                for _ in range(_count(gline[1], "GROUPS count")):
+                    k_part, members = _fields(take(), " : ", 2)
+                    reqs.append(_int(k_part))
+                    groups.append([_int(x) for x in members.split()])
+                tree = GroupedTree(parent, weight, root, groups, reqs)
+            elif tag == "VALUATIONS":
+                m = _count(toks[1], "VALUATIONS function count")
+                n = _count(toks[2], "VALUATIONS ground set size")
+                vkind, eps = toks[3], parse_rat(toks[4])
+                fns = [_parse_function(take(), n, i) for i in range(m)]
+                valuations = ValuationSet(n, fns, vkind, eps)
+            elif tag == "STOCHASTIC":
+                nelems = _count(toks[1], "STOCHASTIC element count")
+                domain = _count(toks[2], "STOCHASTIC domain size")
+                if valuations is None:
+                    raise ValueError("STOCHASTIC requires a preceding VALUATIONS")
+                supports, lengths = [], []
+                for _ in range(nelems):
+                    len_part, body = _fields(take(), " : ", 2)
+                    lengths.append(_int(len_part))
+                    items = body.split()
+                    if len(items) % 2:
+                        raise ValueError("support needs point/probability pairs")
+                    supp = tuple((_int(items[i]), parse_rat(items[i + 1]))
+                                 for i in range(0, len(items), 2))
+                    supports.append(supp)
+                stochastic = StochasticInstance(domain, tuple(supports),
+                                                tuple(lengths), valuations)
+            else:
+                raise ValueError(f"unknown section {tag!r}")
+    except _Malformed as exc:   # raised while reading the last line taken
+        raise ValueError(f"{tag} line {pos} {lines[pos - 1]!r}: {exc}") \
+            from None
     if pos != len(lines) and any(l.strip() for l in lines[pos:]):
         raise ValueError("trailing content after END")
 
@@ -254,17 +277,17 @@ def _parse_function(line: str, n: int, index: int):
     head = chunks[0].split()
     if len(head) != 2:
         raise ValueError("expected 'wtc <nterms>'")
-    nterms = int(head[1])
+    nterms = _int(head[1])
     if len(chunks) - 1 != nterms:
         raise ValueError("term count mismatch")
     terms = []
     for chunk in chunks[1:]:
-        w_part, body = chunk.split(" : ", 1)
+        w_part, body = _fields(chunk, " : ", 2)
         weight = parse_rat(w_part)
         members, units = [], []
         for item in body.split():
-            e, u = item.split(":", 1)
-            members.append(int(e))
+            e, u = _fields(item, ":", 2)
+            members.append(_int(e))
             units.append(parse_rat(u))
         terms.append(CoverTerm(weight, tuple(members), tuple(units)))
     return CoverFunction(n, terms)

@@ -302,7 +302,7 @@ class ValuationSet:
             raise ValueError("groups must be nonempty")
         w = Fraction(1, len(groups))
         terms = [uniform_term(w, g, 1) for g in groups]
-        return cls(n, [CoverFunction(n, terms)], "coverage", Fraction(1, len(groups)))
+        return cls(n, [CoverFunction(n, terms)], "coverage")
 
     @classmethod
     def multicoverage(cls, n: int, groups: Sequence[Sequence[int]],
@@ -312,8 +312,7 @@ class ValuationSet:
             raise ValueError("groups/reqs length mismatch")
         w = Fraction(1, len(groups))
         terms = [uniform_term(w, g, k) for g, k in zip(groups, reqs)]
-        eps = Fraction(1, len(groups) * max(reqs))
-        return cls(n, [CoverFunction(n, terms)], "multicoverage", eps)
+        return cls(n, [CoverFunction(n, terms)], "multicoverage")
 
     @classmethod
     def singlegroup(cls, n: int, groups: Sequence[Sequence[int]],
@@ -323,7 +322,7 @@ class ValuationSet:
             raise ValueError("groups/reqs length mismatch")
         fns = [CoverFunction(n, [uniform_term(ONE, g, k)])
                for g, k in zip(groups, reqs)]
-        return cls(n, fns, "singlegroup", Fraction(1, max(reqs)))
+        return cls(n, fns, "singlegroup")
 
     @classmethod
     def explicit(cls, n: int, tables: Sequence[Sequence[Fraction]]) -> "ValuationSet":

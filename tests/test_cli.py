@@ -7,6 +7,7 @@ subprocesses.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -28,6 +29,7 @@ from latcov.instances.stoch import StochasticInstance
 from latcov.instances.trees import GroupedTree
 from latcov.instances.valuations import (ValuationSet, check_submodular,
                                          min_nonzero_marginal)
+from latcov.lcst.lp import solve_lp_lcst
 from latcov.mlsc import brute_force_latency
 from latcov.orienteering import sop_exact, sop_recursive_greedy
 from latcov.ranking import alg_ag, brute_force_ranking
@@ -343,7 +345,7 @@ def test_suite_share_failure_joins_every_child(bad_seed, capsys,
                              f"{os.getpid()}")
         if bad_seed == 0 and seed % 2:
             time.sleep(60)      # the caller's failure must not wait for it
-        return {"ok": "pass"}, False
+        return {"ok": "pass"}
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setitem(cli.SUITE_FNS, "ranking-lemmas", battery)
@@ -370,7 +372,7 @@ def test_suite_child_killed_by_signal_is_an_error():
         "def battery(seed, samples):\n"
         "    if seed == 1:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    return {'ok': 'pass'}, False\n"
+        "    return {'ok': 'pass'}\n"
         "cli.SUITE_FNS['ranking-lemmas'] = battery\n"
         "os.cpu_count = lambda: 2\n"
         "code = cli.main(['suite', 'ranking-lemmas', '--seeds', '4',\n"
@@ -380,6 +382,82 @@ def test_suite_child_killed_by_signal_is_an_error():
     assert proc.stdout.split() == ["2", "[]"]
     assert "exited with code -9" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+SSC_ARGS = ("ssc", "--domain", "4", "--sets", "0,1;2,3", "--elements",
+            "0:1/2,2:1/2|1:1|3:1/2,0:1/2", "--lengths", "1,2,1")
+FILTERS_ARGS = ("filters", "--queries", "0,1;1", "--selectivities",
+                "1/2,1/3", "--lengths", "1,2", "--latency")
+SGMSSC_ARGS = ("sgmssc", "--domain", "3", "--sets", "0,1;2", "--reqs", "1,1",
+               "--elements", "0:1/2,1:1/2|2:1", "--lengths", "2,1")
+
+
+def _fail_check(*args, **kwargs):
+    return False, [(0, 1, 0, 0, 0)]
+
+
+def _larger_exact(query):
+    res = sop_exact(query)
+    return dataclasses.replace(res, value=res.value * 8 + 1)
+
+
+def _larger_lp(tree):
+    sol = solve_lp_lcst(tree)
+    return dataclasses.replace(sol, objective=10**9)
+
+
+# each checked command, with the check that decides its verdict
+CHECKED = [
+    (("rank", "--gen", "explicit:n=4:seed=1", "--oracle"),
+     "check_recurrence", _fail_check),
+    (("sop", "--gen", "grid:n=6:seed=0", "--solver", "greedy", "--oracle"),
+     "sop_exact", _larger_exact),
+    (("mlsc", "--gen", "uniform:n=5:seed=1", "--oracle"),
+     "check_mlsc_recurrence", _fail_check),
+    (("wssr", "--gen", "stochastic:n=4:seed=1", "--oracle", "--samples",
+      "20"), "check_sto_recurrence", _fail_check),
+    (SSC_ARGS + ("--oracle", "--samples", "20"), "check_sto_recurrence",
+     _fail_check),
+    (FILTERS_ARGS + ("--oracle", "--samples", "20"), "check_sto_recurrence",
+     _fail_check),
+    (SGMSSC_ARGS + ("--oracle", "--samples", "20"), "check_sto_recurrence",
+     _fail_check),
+]
+SUITE_CHECKS = {"ranking-lemmas": ("check_recurrence", _fail_check),
+                "mlsc-lemmas": ("check_mlsc_recurrence", _fail_check),
+                "lcst-probes": ("solve_lp_lcst", _larger_lp),
+                "wssr-lemmas": ("check_sto_recurrence", _fail_check)}
+
+
+def _json_run(capsys, argv):
+    code = cli.main(list(argv) + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err, argv
+    return code, json.loads(captured.out)
+
+
+@pytest.mark.parametrize("argv,target,fake", CHECKED,
+                         ids=[c[0][0] for c in CHECKED])
+def test_exit_2_exactly_when_a_record_fails(argv, target, fake, capsys,
+                                            monkeypatch):
+    code, records = _json_run(capsys, argv)
+    assert code == 0 and [r["ok"] for r in records] == ["pass"], argv
+    monkeypatch.setattr(cli, target, fake)
+    code, records = _json_run(capsys, argv)
+    assert code == 2 and [r["ok"] for r in records] == ["fail"], argv
+
+
+@pytest.mark.parametrize("name", cli.SUITE_NAMES)
+def test_suite_exits_2_exactly_when_a_battery_fails(name, capsys,
+                                                    monkeypatch):
+    argv = ("suite", name, "--seeds", "2", "--samples", "40", "--jobs", "1")
+    code, records = _json_run(capsys, argv)
+    assert code == 0 and {r["ok"] for r in records} == {"pass"}
+    monkeypatch.setattr(cli, *SUITE_CHECKS[name])
+    code, records = _json_run(capsys, argv)
+    assert code == 2
+    assert [r["ok"] for r in records] == ["fail"] * 3
+    assert "failures=2" in records[-1]["detail"]
 
 
 def test_cli_import_loads_no_pool_modules():
@@ -640,7 +718,7 @@ def test_larger_lcst_records_are_pinned(argv, capsys):
 
 
 def test_exit_code_infeasible(monkeypatch):
-    def boom(args, cfg):
+    def boom(args):
         raise Infeasible("no fractional flow meets the requirement")
 
     args = cli.build_parser().parse_args(

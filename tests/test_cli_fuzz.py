@@ -8,6 +8,7 @@ Derandomized, so every run draws the same examples.
 
 import contextlib
 import io
+import json
 import math
 import os
 import random
@@ -355,3 +356,215 @@ def test_term_and_element_token_streams_keep_exit_contract(
                 code = cli.main(argv)
             assert code in (0, 2, 3), (argv, text)
             assert "Traceback" not in err.getvalue(), (argv, text)
+
+
+# METRIC rows and TREE/GROUPS rows as token streams: valid rows with some
+# tokens swapped for malformed ones (non-integers, negatives, out-of-range
+# vertices, a missing " : "), and some rows short or long by a token
+BAD_INTS = ("x", "", "1.5", "1/2", "2:1", "-1", "-3")
+
+
+def _reshape(rng, tokens, rate):
+    if rng.random() < rate:
+        return tokens[:-1]
+    if rng.random() < rate:
+        return tokens + [rng.choice(("1", "x"))]
+    return tokens
+
+
+def metric_rows(rng, n, rate):
+    dist = [[0 if i == j else rng.randint(1, 2) for j in range(n)]
+            for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            dist[i][j] = dist[j][i]
+    return [" ".join(_reshape(rng, _spoil(rng, [str(x) for x in row],
+                                          BAD_INTS, rate), rate))
+            for row in dist]
+
+
+def tree_rows(rng, nv, rate):
+    parent = {v: rng.randrange(v) for v in range(1, nv)}
+    rows = []
+    for v, p in parent.items():
+        toks = [str(v), str(p), str(rng.randint(0, 3))]
+        if rng.random() < rate:
+            toks[rng.randrange(2)] = str(rng.choice((-1, nv, nv + 1)))
+        rows.append(" ".join(_reshape(rng, _spoil(rng, toks, BAD_INTS, rate),
+                                      rate)))
+    # the groups split the non-root leaves; a lone root has none
+    leaves = sorted(set(parent) - set(parent.values())) or [0]
+    rng.shuffle(leaves)
+    cut = rng.randint(1, len(leaves))
+    groups = []
+    for part in (leaves[:cut], leaves[cut:]):
+        if not part:
+            continue
+        members = sorted(part)
+        k = rng.randint(1, len(members))
+        if rng.random() < rate:
+            k = rng.choice((0, -1, len(members) + 1))
+        sep = " : " if rng.random() >= rate else rng.choice((" ", " :", ""))
+        groups.append(" ".join(_spoil(rng, [str(k)], BAD_INTS, rate))
+                      + sep + " ".join(_spoil(rng, map(str, members),
+                                              BAD_INTS, rate)))
+    return rows, groups
+
+
+def _row_texts(rng, n, rate):
+    """One text per row kind, keyed by the instance kind it loads as."""
+    wtc = f"VALUATIONS 1 {n} wtc 1/2\n" + wtc_line(rng, n, rate)
+    tree, groups = tree_rows(rng, n, rate)
+    return {
+        "mlsc": (f"LATCOV v1 mlsc\nMETRIC {n} 0\n"
+                 + "\n".join(metric_rows(rng, n, rate))
+                 + f"\nVALUATIONS 1 {n} wtc 1/1\nwtc 1 ; 1/1 : "
+                 + " ".join(f"{e}:1/1" for e in range(n)) + "\nEND\n"),
+        "lcst": "\n".join(["LATCOV v1 lcst", f"TREE {n} 0", *tree,
+                            f"GROUPS {len(groups)}", *groups, "END\n"]),
+        "ranking": f"LATCOV v1 ranking\n{wtc}\nEND\n",
+        "wssr": (f"LATCOV v1 wssr\n{wtc}\nSTOCHASTIC 2 {n}\n"
+                 + "\n".join(element_line(rng, n, rate) for _ in range(2))
+                 + "\nEND\n"),
+    }
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse's refusals
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=5_000)
+@given(n=st.integers(1, 4), rate=st.sampled_from((0.05, 0.1, 0.3)),
+       seed=st.integers(0, 2**32))
+def test_malformed_rows_are_refused_by_section_and_line(n, rate, seed):
+    # every refused row says where it is and what it holds, never Python's
+    # own unpacking or int() message
+    for text in _row_texts(random.Random(seed), n, rate).values():
+        try:
+            loads(text)
+        except ValueError as exc:
+            message = str(exc)
+            assert "unpack" not in message, (message, text)
+            assert "invalid literal" not in message, (message, text)
+
+
+@settings(derandomize=True, max_examples=200, deadline=10_000)
+@given(n=st.integers(1, 4), rate=st.sampled_from((0.0, 0.05, 0.1, 0.3)),
+       seed=st.integers(0, 2**32))
+def test_metric_and_tree_token_streams_keep_exit_contract(n, rate, seed):
+    texts = _row_texts(random.Random(seed), n, rate)
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in ("mlsc", "lcst"):
+            text = texts[kind]
+            try:
+                loads(text)
+            except ValueError:   # CapExceeded included
+                pass
+            path = os.path.join(tmp, f"{kind}.lcov")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            for cmd, *extra in KIND_COMMANDS[kind]:
+                argv = [cmd, "--in", path, *extra]
+                code, _, err = _run_quiet(argv)
+                assert code in (0, 2, 3), (argv, text)
+                assert "Traceback" not in err, (argv, text)
+
+
+# each subcommand's own flags with their valid values; None marks a
+# switch, which takes no value.  A drawn flag is mostly given a valid
+# value, else zero, a negative, a non-number, an empty value or none at
+# all.  --gen values are generator heads, given n <= 6 and a seed.
+BAD_VALUES = ("0", "-1", "x", "")
+STO_FLAGS = {"--oracle": None, "--samples": ("20", "1")}
+# each command's valid values agree with one another: the same filter,
+# element and set counts, points inside the domain
+SSC_FLAGS = {"--domain": ("4",), "--sets": ("0,1;2,3", "0;1,2,3"),
+             "--elements": ("0:1/2,2:1/2|1:1|3:1/2,0:1/2",
+                            "0:1|1:1/2,3:1/2|2:1"),
+             "--lengths": ("1,2,1", "1,1,1"), **STO_FLAGS}
+ARGV_FLAGS = {
+    "gen": {},
+    "rank": {"--gen": ("explicit", "coverage", "multicoverage", "gmssc",
+                       "groups"), "--oracle": None},
+    "sop": {"--gen": ("uniform", "grid"), "--budget": ("3", "1"),
+            "--solver": ("exact", "greedy"), "--oracle": None},
+    "mlsc": {"--gen": ("uniform", "grid"), "--solver": ("exact", "greedy"),
+             "--oracle": None},
+    "lcst": {"--gen": ("tree", "uniform", "grid"), "--embed-seed": ("3",),
+             "--round-seed": ("5",), "--no-embed": None,
+             "--repeat-mult": ("1", "6"), "--weight-mult": ("192", "1")},
+    "wssr": {"--gen": ("stochastic",), **STO_FLAGS},
+    "ssc": SSC_FLAGS,
+    "filters": {"--queries": ("0,1;1", "0;1"),
+                "--selectivities": ("1/2,1/3", "1/3,2/3"),
+                "--lengths": ("1,2", "2,1"), "--latency": None, **STO_FLAGS},
+    "sgmssc": {"--domain": ("3",), "--sets": ("0,1;2", "0;1,2"),
+               "--reqs": ("1,1", "2,1"),
+               "--elements": ("0:1/2,1:1/2|2:1", "0:1|1:1/2,2:1/2"),
+               "--lengths": ("2,1", "1,1"), **STO_FLAGS},
+    "suite": {"--seeds": ("1", "4"), "--samples": ("20",),
+              "--jobs": ("1", "2")},
+}
+# what a run cannot do without: its instance source, its problem data
+REQUIRED = ("--gen", "--domain", "--sets", "--elements", "--lengths",
+            "--queries", "--selectivities", "--reqs")
+POSITIONAL = {"gen": ("explicit", "tree", "uniform", "stochastic", "x"),
+              "suite": cli.SUITE_NAMES + ("lemmas", "x")}
+UNKNOWN = (["--bogus"], ["--bogus", "1"], ["--jobs", "1"], ["--in"])
+
+
+# sizes: mostly 1..6, sometimes zero or negative
+SIZES = st.sampled_from((1, 2, 3, 4, 5, 6) * 3 + (0, -1))
+
+
+@st.composite
+def genspecs(draw, heads):
+    return (f"{draw(st.sampled_from(heads))}:n={draw(SIZES)}"
+            f":seed={draw(st.integers(0, 9))}")
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    argv = [cmd]
+    if cmd == "gen":
+        argv.append(draw(genspecs(POSITIONAL[cmd])))
+    elif cmd in POSITIONAL:
+        argv.append(draw(st.sampled_from(POSITIONAL[cmd])))
+    flags = {**ARGV_FLAGS[cmd], "--seed": ("0", "7")}
+    for flag, values in flags.items():
+        if draw(st.integers(0, 9)) >= (9 if flag in REQUIRED else 5):
+            continue
+        argv.append(flag)
+        if values is None:
+            continue
+        pick = draw(st.integers(0, 19))
+        if pick == 0:
+            continue    # the value is missing
+        if pick <= 2:
+            argv.append(draw(st.sampled_from(BAD_VALUES)))
+        elif flag == "--gen":
+            argv.append(draw(genspecs(values)))
+        else:
+            argv.append(draw(st.sampled_from(values)))
+    if draw(st.integers(0, 9)) == 0:
+        argv += draw(st.sampled_from(UNKNOWN))
+    return argv + ["--format", "json"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=20_000)
+@given(argv=argvs())
+def test_argv_fuzz_keeps_exit_contract(argv):
+    code, out, err = _run_quiet(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+    if argv[0] == "gen" or not out:
+        return   # gen prints the instance itself
+    records = json.loads(out)
+    assert (code == 2) == any(r["ok"] == "fail" for r in records), argv

@@ -120,6 +120,34 @@ def test_alpha_upper_bounds_log():
         assert float(a) <= 1 + math.log(1 / eps) + 3e-9
 
 
+WTC_HEAD = "LATCOV v1 ranking\nVALUATIONS 1 2 wtc 1/2\n"
+WSSR_HEAD = ("LATCOV v1 wssr\nVALUATIONS 1 2 wtc 1/1\n"
+             "wtc 1 ; 1/1 : 0:1/1 1:1/1\nSTOCHASTIC 1 2\n")
+MLSC_TAIL = "VALUATIONS 1 2 wtc 1/1\nwtc 1 ; 1/1 : 0:1/1 1:1/1\nEND\n"
+
+
+@pytest.mark.parametrize("text,where,bad", [
+    (WTC_HEAD + "wtc 1 ; 1/1 0:1/1\nEND\n", "VALUATIONS line 3",
+     "wtc 1 ; 1/1 0:1/1"),
+    (WTC_HEAD + "wtc 1 ; 1/1 : 0 1:1/1\nEND\n", "VALUATIONS line 3",
+     "wtc 1 ; 1/1 : 0 1:1/1"),
+    (WTC_HEAD + "wtc 1 ; 1/2/3 : 0:1/1\nEND\n", "VALUATIONS line 3",
+     "wtc 1 ; 1/2/3 : 0:1/1"),
+    (WSSR_HEAD + "1 : 1:2 1/1\nEND\n", "STOCHASTIC line 5", "1 : 1:2 1/1"),
+    (WSSR_HEAD + "1 0 1/1\nEND\n", "STOCHASTIC line 5", "1 0 1/1"),
+    ("LATCOV v1 lcst\nTREE 2 0\n1 0\nGROUPS 1\n1 : 1\nEND\n",
+     "TREE line 3", "1 0"),
+    ("LATCOV v1 lcst\nTREE 2 0\n1 0 1\nGROUPS 1\n1 1\nEND\n",
+     "GROUPS line 5", "1 1"),
+    ("LATCOV v1 mlsc\nMETRIC 2 0\n0 1\n1 x\n" + MLSC_TAIL, "METRIC line 4",
+     "1 x"),
+])
+def test_malformed_rows_name_section_line_and_text(text, where, bad):
+    with pytest.raises(ValueError) as exc:
+        loads(text)
+    assert str(exc.value).startswith(f"{where} {bad!r}: ")
+
+
 def test_negative_term_members_are_refused_by_name():
     for build in (lambda: ValuationSet.coverage(4, [[-1]]),
                   lambda: ValuationSet.singlegroup(3, [[-2, 1]], [1]),
