@@ -11,7 +11,9 @@ configuration, so a repeated invocation produces identical bytes on stdout
 or in --out.  Wall-clock timings go to stderr, where they cannot break that
 guarantee.  Handlers return rows of record fields; `main` alone builds the
 records and the exit code: 0 success, 2 invariant violation (bad config,
-cap hit, or a record with ok=fail), 3 infeasibility.
+cap hit, or a record with ok=fail), 3 infeasibility.  Each solver module is
+imported inside the functions that use it, so a run compiles only the
+solvers its subcommand needs.
 """
 
 import argparse
@@ -33,17 +35,7 @@ from .errors import (CapExceeded, Infeasible, SolverStall, Unbounded,
 from .instances import serial
 from .instances.generators import (GEN_CAP, Instance, random_instance,
                                    random_valuations)
-from .lcst.embed import frt_embed
-from .lcst.lp import solve_lp_lcst
-from .lcst.rounding import alg_lcst, weight_cap
-from .mlsc import alg_mlsc, brute_force_latency, check_mlsc_recurrence
-from .orienteering import (SopQuery, greedy_rho, sop_exact,
-                           sop_recursive_greedy)
-from .ranking import (ResidualFunction, alg_ag, brute_force_ranking,
-                      check_log_claim, check_recurrence)
-from .stochastic import (alg_ag_sto, check_sto_recurrence, evaluate_policy,
-                         greedy_policy, optimal_adaptive, outcome_sampler,
-                         reduce_filter, reduce_sgmssc, reduce_ssc)
+
 
 COLUMNS = ("command", "config", "seed", "objective", "oracle", "ratio",
            "ratio_num", "ratio_den", "checkpoints", "ok", "detail")
@@ -200,6 +192,7 @@ def cmd_gen(args):
 
 
 def cmd_rank(args):
+    from .ranking import alg_ag, brute_force_ranking, check_recurrence
     inst = _resolve_instance(args, {"ranking"}, "rank")
     vs = inst.valuations
     order = alg_ag(vs)
@@ -214,6 +207,8 @@ def cmd_rank(args):
 
 
 def cmd_sop(args):
+    from .orienteering import SopQuery, sop_exact, sop_recursive_greedy
+    from .ranking import ResidualFunction
     inst = _resolve_instance(args, {"mlsc"}, "sop")
     metric, vs = inst.metric, inst.valuations
     budget = args.budget if args.budget is not None else 2 * metric.diameter
@@ -233,6 +228,8 @@ def cmd_sop(args):
 
 
 def cmd_mlsc(args):
+    from .mlsc import alg_mlsc, brute_force_latency, check_mlsc_recurrence
+    from .orienteering import greedy_rho, sop_exact, sop_recursive_greedy
     inst = _resolve_instance(args, {"mlsc"}, "mlsc")
     metric, vs = inst.metric, inst.valuations
     if args.solver == "exact":
@@ -253,6 +250,7 @@ def cmd_mlsc(args):
 
 
 def _tree_from_metric(inst: Instance, embed_seed: int):
+    from .lcst.embed import frt_embed
     vs = inst.valuations
     if vs is None or vs.kind != "singlegroup":
         raise ValueError("lcst embedding needs per-group valuations "
@@ -272,6 +270,8 @@ def _tree_from_metric(inst: Instance, embed_seed: int):
 
 
 def cmd_lcst(args):
+    from .lcst.lp import solve_lp_lcst
+    from .lcst.rounding import alg_lcst
     if not 0 <= args.repeat_mult <= size_cap(GEN_CAP):
         raise ValueError(f"--repeat-mult must be in 0..{size_cap(GEN_CAP)}, "
                          f"got {args.repeat_mult}")
@@ -296,6 +296,8 @@ def cmd_lcst(args):
 
 
 def _stochastic_rows(st, args):
+    from .stochastic import (alg_ag_sto, check_sto_recurrence, evaluate_policy,
+                             greedy_policy, optimal_adaptive, outcome_sampler)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     policy = greedy_policy(st)
@@ -365,12 +367,14 @@ def _domain(args) -> int:
 
 
 def cmd_ssc(args):
+    from .stochastic import reduce_ssc
     st = reduce_ssc(_domain(args), _int_sets(args.sets),
                     _supports(args.elements), _ints(args.lengths))
     return _stochastic_rows(st, args)
 
 
 def cmd_filters(args):
+    from .stochastic import reduce_filter
     st = reduce_filter([tuple(q) for q in _int_sets(args.queries)],
                        _fracs(args.selectivities), _ints(args.lengths),
                        latency=args.latency)
@@ -378,6 +382,7 @@ def cmd_filters(args):
 
 
 def cmd_sgmssc(args):
+    from .stochastic import reduce_sgmssc
     st = reduce_sgmssc(_domain(args), _int_sets(args.sets), _ints(args.reqs),
                        _supports(args.elements), _ints(args.lengths))
     return _stochastic_rows(st, args)
@@ -389,6 +394,8 @@ def cmd_sgmssc(args):
 # Monte-Carlo probes within their slack only report margins.
 
 def _suite_ranking(seed: int, samples: int) -> dict:
+    from .ranking import (alg_ag, brute_force_ranking, check_log_claim,
+                          check_recurrence)
     style = "explicit" if seed % 2 == 0 else "singlegroup"
     vs = random_valuations(style, 4 + seed % 3, seed)
     order = alg_ag(vs)
@@ -416,6 +423,8 @@ def _suite_ranking(seed: int, samples: int) -> dict:
 
 
 def _suite_mlsc(seed: int, samples: int) -> dict:
+    from .mlsc import alg_mlsc, brute_force_latency, check_mlsc_recurrence
+    from .orienteering import sop_exact
     inst = random_instance("uniform-metric", 4 + seed % 2, seed)
     tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
     opt = brute_force_latency(inst.metric, inst.valuations)
@@ -430,6 +439,8 @@ def _suite_mlsc(seed: int, samples: int) -> dict:
 
 
 def _suite_lcst(seed: int, samples: int) -> dict:
+    from .lcst.lp import solve_lp_lcst
+    from .lcst.rounding import alg_lcst, weight_cap
     inst = random_instance("random-tree", 5 + seed % 3, seed)
     sol = solve_lp_lcst(inst.tree)
     tour, report = alg_lcst(inst.tree, seed, lp=sol)
@@ -446,6 +457,8 @@ def _suite_lcst(seed: int, samples: int) -> dict:
 
 
 def _suite_wssr(seed: int, samples: int) -> dict:
+    from .stochastic import (check_sto_recurrence, evaluate_policy,
+                             greedy_policy, optimal_adaptive)
     st = random_instance("random-stochastic", 3 + seed % 2, seed).stochastic
     opt_policy, opt_cost = optimal_adaptive(st)
     greedy = greedy_policy(st)
@@ -708,6 +721,13 @@ def main(argv=None) -> int:
     print(f"latcov {args.command}: {len(records)} record(s), "
           f"wall-clock {elapsed:.3f}s", file=sys.stderr)
     return 2 if any(rec.ok == "fail" for rec in records) else 0
+
+
+def __getattr__(name):   # ROADMAP 2b: goes when the tracer stops pinning names
+    if name != "solve_lp_lcst":   # the one name perfbench's tracer test reads
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .lcst import lp
+    return lp.solve_lp_lcst
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ def _ratio(p: int, q: int) -> str:   # _rat(Fraction(p, q)) for q > 0
 
 
 class _Malformed(ValueError):
-    """A token or row the grammar cannot read; `loads` names its line."""
+    """A token or row the grammar cannot read or refuses; `loads` names it."""
 
 
 def _int(tok: str) -> int:
@@ -64,17 +64,17 @@ def _fields(text: str, sep, count: int) -> list[str]:
     return parts
 
 
-def _parse_pq(tok: str, num=int) -> tuple[int, int]:   # q > 0, not reduced
+def _parse_pq(tok: str) -> tuple[int, int]:   # q > 0, not reduced
     if "/" not in tok:
-        raise ValueError(f"rational must be written p/q, got {tok!r}")
-    p, q = (num(t) for t in tok.split("/", 1))
+        raise _Malformed(f"rational must be written p/q, got {tok!r}")
+    p, q = (_int(t) for t in tok.split("/", 1))
     if q == 0:
-        raise ValueError(f"rational has a zero denominator: {tok!r}")
+        raise _Malformed(f"rational has a zero denominator: {tok!r}")
     return (-p, -q) if q < 0 else (p, q)
 
 
-def parse_rat(tok: str) -> Fraction:   # explicit tables keep int()'s words
-    return Fraction(*_parse_pq(tok, _int))
+def parse_rat(tok: str) -> Fraction:
+    return Fraction(*_parse_pq(tok))
 
 
 def _count(tok: str, field: str) -> int:
@@ -196,7 +196,7 @@ def loads(text: str) -> Instance:
                 for _ in range(nv - 1):
                     v, p, w = (_int(x) for x in _fields(take(), None, 3))
                     if not 0 <= v < nv:
-                        raise ValueError(f"tree vertex {v} out of range")
+                        raise _Malformed(f"tree vertex {v} out of range")
                     parent[v], weight[v] = p, w
                 gline = take().split()
                 if len(gline) != 2 or gline[0] != "GROUPS":
@@ -225,7 +225,7 @@ def loads(text: str) -> Instance:
                     lengths.append(_int(len_part))
                     items = body.split()
                     if len(items) % 2:
-                        raise ValueError("support needs point/probability pairs")
+                        raise _Malformed("support needs point/probability pairs")
                     supp = tuple((_int(items[i]), parse_rat(items[i + 1]))
                                  for i in range(0, len(items), 2))
                     supports.append(supp)
@@ -256,41 +256,44 @@ def loads(text: str) -> Instance:
 
 
 def _parse_function(line: str, n: int, index: int):
-    toks = line.split() or [""]
-    if toks[0] == "explicit":
-        # tables repeat few values: parse each distinct token once, in
-        # file order, so the first bad token is the one the error names
-        pairs = {t: _parse_pq(t) for t in dict.fromkeys(toks[1:])}
-        den = math.lcm(*(q for _, q in pairs.values()))
-        lifted = {t: p * (den // q) for t, (p, q) in pairs.items()}
-        nums = list(map(lifted.__getitem__, toks[1:]))
-        if nums and (min(nums) < 0 or max(nums) > den):
-            raise ValueError("explicit table values must lie in [0, 1]")
-        fn = ExplicitFunction.from_nums(n, nums, den)
-        if not _monotone(nums, n):   # the exact oracles assume it
-            raise ValueError(f"explicit table of function {index} is not "
-                             f"monotone: some f(S) > f(S + e)")
-        return fn
-    if toks[0] != "wtc":
-        raise ValueError(f"unknown function encoding {toks[0]!r}")
-    chunks = line.split(" ; ")
-    head = chunks[0].split()
-    if len(head) != 2:
-        raise ValueError("expected 'wtc <nterms>'")
-    nterms = _int(head[1])
-    if len(chunks) - 1 != nterms:
-        raise ValueError("term count mismatch")
-    terms = []
-    for chunk in chunks[1:]:
-        w_part, body = _fields(chunk, " : ", 2)
-        weight = parse_rat(w_part)
-        members, units = [], []
-        for item in body.split():
-            e, u = _fields(item, ":", 2)
-            members.append(_int(e))
-            units.append(parse_rat(u))
-        terms.append(CoverTerm(weight, tuple(members), tuple(units)))
-    return CoverFunction(n, terms)
+    try:   # any refusal, the valuation classes' too, is about this line
+        toks = line.split() or [""]
+        if toks[0] == "explicit":
+            # tables repeat few values: parse each distinct token once, in
+            # file order, so the first bad token is the one the error names
+            pairs = {t: _parse_pq(t) for t in dict.fromkeys(toks[1:])}
+            den = math.lcm(*(q for _, q in pairs.values()))
+            lifted = {t: p * (den // q) for t, (p, q) in pairs.items()}
+            nums = list(map(lifted.__getitem__, toks[1:]))
+            if nums and (min(nums) < 0 or max(nums) > den):
+                raise ValueError("explicit table values must lie in [0, 1]")
+            fn = ExplicitFunction.from_nums(n, nums, den)
+            if not _monotone(nums, n):   # the exact oracles assume it
+                raise ValueError(f"explicit table of function {index} is not "
+                                 f"monotone: some f(S) > f(S + e)")
+            return fn
+        if toks[0] != "wtc":
+            raise ValueError(f"unknown function encoding {toks[0]!r}")
+        chunks = line.split(" ; ")
+        head = chunks[0].split()
+        if len(head) != 2:
+            raise ValueError("expected 'wtc <nterms>'")
+        nterms = _int(head[1])
+        if len(chunks) - 1 != nterms:
+            raise ValueError("term count mismatch")
+        terms = []
+        for chunk in chunks[1:]:
+            w_part, body = _fields(chunk, " : ", 2)
+            weight = parse_rat(w_part)
+            members, units = [], []
+            for item in body.split():
+                e, u = _fields(item, ":", 2)
+                members.append(_int(e))
+                units.append(parse_rat(u))
+            terms.append(CoverTerm(weight, tuple(members), tuple(units)))
+        return CoverFunction(n, terms)
+    except ValueError as exc:
+        raise _Malformed(str(exc)) from None
 
 
 def _monotone(nums: list[int], n: int) -> bool:

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from latcov import cli
+from latcov import cli, mlsc, orienteering, ranking, stochastic
 from latcov.errors import CapExceeded, Infeasible, size_cap
 from latcov.instances import serial
 from latcov.instances.generators import GEN_CAP, random_valuations
@@ -29,6 +29,7 @@ from latcov.instances.stoch import StochasticInstance
 from latcov.instances.trees import GroupedTree
 from latcov.instances.valuations import (ValuationSet, check_submodular,
                                          min_nonzero_marginal)
+from latcov.lcst import lp
 from latcov.lcst.lp import solve_lp_lcst
 from latcov.mlsc import brute_force_latency
 from latcov.orienteering import sop_exact, sop_recursive_greedy
@@ -427,6 +428,10 @@ SUITE_CHECKS = {"ranking-lemmas": ("check_recurrence", _fail_check),
                 "mlsc-lemmas": ("check_mlsc_recurrence", _fail_check),
                 "lcst-probes": ("solve_lp_lcst", _larger_lp),
                 "wssr-lemmas": ("check_sto_recurrence", _fail_check)}
+# the module that defines each patched check; the CLI imports it at call time
+DEFINED_IN = {"check_recurrence": ranking, "sop_exact": orienteering,
+              "check_mlsc_recurrence": mlsc, "solve_lp_lcst": lp,
+              "check_sto_recurrence": stochastic}
 
 
 def _json_run(capsys, argv):
@@ -442,7 +447,7 @@ def test_exit_2_exactly_when_a_record_fails(argv, target, fake, capsys,
                                             monkeypatch):
     code, records = _json_run(capsys, argv)
     assert code == 0 and [r["ok"] for r in records] == ["pass"], argv
-    monkeypatch.setattr(cli, target, fake)
+    monkeypatch.setattr(DEFINED_IN[target], target, fake)
     code, records = _json_run(capsys, argv)
     assert code == 2 and [r["ok"] for r in records] == ["fail"], argv
 
@@ -453,7 +458,8 @@ def test_suite_exits_2_exactly_when_a_battery_fails(name, capsys,
     argv = ("suite", name, "--seeds", "2", "--samples", "40", "--jobs", "1")
     code, records = _json_run(capsys, argv)
     assert code == 0 and {r["ok"] for r in records} == {"pass"}
-    monkeypatch.setattr(cli, *SUITE_CHECKS[name])
+    target, fake = SUITE_CHECKS[name]
+    monkeypatch.setattr(DEFINED_IN[target], target, fake)
     code, records = _json_run(capsys, argv)
     assert code == 2
     assert [r["ok"] for r in records] == ["fail"] * 3
@@ -469,6 +475,54 @@ def test_cli_import_loads_no_pool_modules():
                       " & (set(sys.modules) - before)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SOLVERS = {"latcov.lcst", "latcov.stochastic", "latcov.mlsc",
+           "latcov.orienteering", "latcov.ranking"}
+NO_LCST_OR_STOCHASTIC = {"latcov.lcst", "latcov.stochastic"}
+NO_PATH_SOLVERS = {"latcov.lcst", "latcov.mlsc", "latcov.orienteering"}
+# a tiny run of each subcommand (None: import only), with the solver
+# modules it must not load; each one costs start-up compile time
+LOADS = [
+    (None, SOLVERS),
+    (["rank", "--gen", "explicit:n=4:seed=1", "--oracle"],
+     NO_LCST_OR_STOCHASTIC),
+    (["sop", "--gen", "grid:n=5:seed=0", "--oracle"], NO_LCST_OR_STOCHASTIC),
+    (["mlsc", "--gen", "uniform:n=4:seed=1", "--oracle"],
+     NO_LCST_OR_STOCHASTIC),
+    (["suite", "ranking-lemmas", "--seeds", "2", "--jobs", "1"],
+     NO_LCST_OR_STOCHASTIC),
+    (["wssr", "--gen", "stochastic:n=3:seed=0", "--oracle", "--samples",
+      "20"], NO_PATH_SOLVERS),
+    (list(SSC_ARGS) + ["--samples", "20"], NO_PATH_SOLVERS),
+    (list(FILTERS_ARGS) + ["--samples", "20"], NO_PATH_SOLVERS),
+    (list(SGMSSC_ARGS) + ["--samples", "20"], NO_PATH_SOLVERS),
+    (["lcst", "--gen", "tree:n=5:seed=1"], {"latcov.stochastic"}),
+]
+
+
+@pytest.mark.parametrize("argv,unwanted", LOADS,
+                         ids=[a[0] if a else "import" for a, _ in LOADS])
+def test_each_subcommand_loads_only_its_solvers(argv, unwanted):
+    proc = run_python(
+        "import contextlib, io, json, sys\n"
+        "from latcov import cli\n"
+        f"argv = {argv!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(argv) if argv else 0\n"
+        f"unwanted = set({sorted(unwanted)!r})\n"
+        "print(json.dumps([code, sorted(unwanted & set(sys.modules))]))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []], argv
+
+
+def test_cli_forwards_only_the_lp_solver_name(monkeypatch):
+    assert cli.solve_lp_lcst is lp.solve_lp_lcst
+    monkeypatch.setattr(lp, "solve_lp_lcst", _larger_lp)
+    assert cli.solve_lp_lcst is lp.solve_lp_lcst is _larger_lp
+    for name in ("solve_canonical_max", "alg_ag", "no_such_name"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(cli, name)
 
 
 def test_exit_codes():

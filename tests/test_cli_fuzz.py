@@ -142,7 +142,8 @@ def test_explicit_tables_fail_as_the_per_token_parse(n, size, data):
     try:
         loads(text)
     except ValueError as exc:   # CapExceeded included
-        assert type(want) is not str or str(exc) == want, line
+        assert type(want) is not str or \
+            str(exc) == f"VALUATIONS line 3 {line!r}: {want}", line
 
 
 # mlsc texts whose METRIC and VALUATIONS sizes disagree, one each way: no

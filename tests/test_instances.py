@@ -141,6 +141,25 @@ MLSC_TAIL = "VALUATIONS 1 2 wtc 1/1\nwtc 1 ; 1/1 : 0:1/1 1:1/1\nEND\n"
      "GROUPS line 5", "1 1"),
     ("LATCOV v1 mlsc\nMETRIC 2 0\n0 1\n1 x\n" + MLSC_TAIL, "METRIC line 4",
      "1 x"),
+    # rows read and then refused, and explicit-table tokens
+    ("LATCOV v1 lcst\nTREE 2 0\n5 0 1\nGROUPS 1\n1 : 1\nEND\n",
+     "TREE line 3", "5 0 1"),
+    (WSSR_HEAD + "1 : 0 1/2 1\nEND\n", "STOCHASTIC line 5", "1 : 0 1/2 1"),
+    (WTC_HEAD + "wtc 2 ; 1/1 : 0:1/1 1:1/1\nEND\n", "VALUATIONS line 3",
+     "wtc 2 ; 1/1 : 0:1/1 1:1/1"),
+    (WTC_HEAD + "wtc ; 1/1 : 0:1/1 1:1/1\nEND\n", "VALUATIONS line 3",
+     "wtc ; 1/1 : 0:1/1 1:1/1"),
+    (WTC_HEAD + "table 0/1 1/1\nEND\n", "VALUATIONS line 3",
+     "table 0/1 1/1"),
+    ("LATCOV v1 ranking\nVALUATIONS 1 3 wtc 1/2\n"
+     "wtc 1 ; 1/1 : -1:1/1 2:1/1\nEND\n", "VALUATIONS line 3",
+     "wtc 1 ; 1/1 : -1:1/1 2:1/1"),
+    (WTC_HEAD + "explicit 0/1 1/2/3\nEND\n", "VALUATIONS line 3",
+     "explicit 0/1 1/2/3"),
+    (WTC_HEAD + "explicit 0/1 /\nEND\n", "VALUATIONS line 3",
+     "explicit 0/1 /"),
+    (WTC_HEAD + "explicit 1/ 1/1\nEND\n", "VALUATIONS line 3",
+     "explicit 1/ 1/1"),
 ])
 def test_malformed_rows_name_section_line_and_text(text, where, bad):
     with pytest.raises(ValueError) as exc:

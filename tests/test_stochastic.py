@@ -868,7 +868,7 @@ def test_monte_carlo_wssr_keeps_no_instance_alive(capsys, monkeypatch):
         seen.append(weakref.ref(inst))
         return outcome_sampler(inst)
 
-    monkeypatch.setattr(cli, "outcome_sampler", watched)
+    monkeypatch.setattr(stochastic, "outcome_sampler", watched)
     for seed in range(3):
         _cli_objective(capsys, "wssr", "--gen", f"stochastic:n=6:seed={seed}",
                        "--samples", "40")
