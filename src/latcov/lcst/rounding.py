@@ -21,7 +21,7 @@ from typing import Optional
 from ..errors import Infeasible
 from ..instances.trees import GroupedTree
 from ..instances.valuations import ValuationSet
-from ..mlsc import LatencyTour
+from ..tour import LatencyTour
 from .lp import FLOAT_TOL, LpSolution, solve_lp_lcst
 
 
@@ -31,26 +31,37 @@ def krs_round(tree: GroupedTree, z, seed) -> frozenset:
     Top-down: a root edge survives with probability z_e, any other edge
     with probability z_e / z_{pe} when its parent survived.  z must be
     monotone along root paths.  Returns the kept edge ids.
+
+    Each draw is compared as ints: random() is k / 2^53, so it is below
+    a / b iff k * b < a * 2^53.  Exact marginals give z_e / z_{pe} as
+    (a_e * b_pe, b_e * a_pe); float marginals (the float LP mode) draw
+    against their quotient as float division rounds it.
     """
-    for e in tree.edges:
+    edges = tree.edges
+    ratio = {e: z[e].as_integer_ratio() for e in edges}
+    for e in edges:
         p = tree.parent[e]
-        if p != tree.root and z[e] > z[p]:
+        if p != tree.root and ratio[e][0] * ratio[p][1] > \
+                ratio[p][0] * ratio[e][1]:
             raise ValueError("marginals must not exceed the parent edge's")
     rng = random.Random(f"krs:{seed}")
     picked: set[int] = set()
     for v in tree.topo_order():
         if v == tree.root:
             continue
-        zv = z[v]
-        if zv <= 0:
+        a, b = ratio[v]
+        if a <= 0:
             continue
         p = tree.parent[v]
-        if p == tree.root:
-            if rng.random() < zv:
-                picked.add(v)
-        elif p in picked:
-            if rng.random() < zv / z[p]:
-                picked.add(v)
+        if p != tree.root:
+            if p not in picked:
+                continue
+            if type(z[v]) is float or type(z[p]) is float:
+                a, b = (z[v] / z[p]).as_integer_ratio()
+            else:
+                a, b = a * ratio[p][1], b * ratio[p][0]
+        if int(rng.random() * 9007199254740992.0) * b < a << 53:
+            picked.add(v)
     return frozenset(picked)
 
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import Uncoverable, check_cap
 from .instances.metrics import Metric
 from .instances.valuations import ResidualFunction, ValuationSet
 from .orienteering import SopQuery, SopResult
 from .ranking import check_decay, uncovered_at, uncovered_counts
+from .tour import LatencyTour
 
 LATENCY_CAP = 7
 
@@ -27,31 +28,6 @@ LATENCY_CAP = 7
 class ResidualValuation(ResidualFunction):
     __slots__ = ()
     value = ResidualFunction.value
-
-
-@dataclass(frozen=True)
-class LatencyTour:
-    """A root walk with its prefix distances and per-valuation cover times."""
-
-    walk: tuple[int, ...]
-    prefix: tuple[int, ...]
-    cover_times: tuple[int, ...]
-    objective: int
-
-    @classmethod
-    def from_walk(cls, metric: Metric, vs: ValuationSet,
-                  walk: Sequence[int]) -> "LatencyTour":
-        """Recompute prefix lengths, cover times, and the objective."""
-        walk = tuple(walk)
-        if not walk or walk[0] != metric.root:
-            raise ValueError("walk must start at the root")
-        prefix = [0]
-        for a, b in zip(walk, walk[1:]):
-            prefix.append(prefix[-1] + metric.d(a, b))
-        cover = vs.first_cover(zip(walk, prefix))
-        if None in cover:
-            raise Uncoverable("walk does not cover every valuation")
-        return cls(walk, tuple(prefix), tuple(cover), sum(cover))
 
 
 @dataclass(frozen=True)

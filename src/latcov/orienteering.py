@@ -12,7 +12,6 @@ whose value is at least the best value achievable within budget, over rho.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,7 +136,8 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
 
     Depth ceil(log2 k) suffices when the optimal path visits k vertices; k is
     bounded by the budget over the smallest positive distance, which keeps
-    desk-scale runs shallow. The declared guarantee stays
+    desk-scale runs shallow. The depth is computed in ints, as
+    (k - 1).bit_length(). The declared guarantee stays
     (ceil(log2 |V|) + 1, 1). Candidates are compared by g(mask u path), as
     the valuation's ints, rather than by the gain over g(mask): within one
     call the subtracted base is the same for all of them, so the exact
@@ -173,6 +173,18 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
         until its next.
     So an entry answers every budget in [l, next), and for a fixed midpoint
     the b1 loop jumps from one left half's next to the following one.
+
+    A depth-0 call with a fixed endpoint has one candidate, the edge [s, t]
+    (or [s]), and next = never: it answers every budget from d(s, t) up. So
+    a depth-1 call writes those halves out instead of asking the memo. Its
+    left half is the edge [s, v] at every b1, so each midpoint runs one
+    split and adds nothing to next; a fixed right half is the edge [v, t],
+    and adds nothing either. Only the free-endpoint depth-0 scans, whose
+    next matters, remain calls. Every entry's value is g(key mask u path),
+    and the right half is keyed on mask u left path, so its value is the
+    candidate's g(mask u left u right): a split needs no num call of its
+    own. Candidates, their order and every next are unchanged, and so is
+    the answer.
     """
     n = q.metric.n
     check_cap("sop_recursive_greedy", n, RG_CAP, "|V|")
@@ -180,7 +192,7 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
     num = q.valuation.num
     declared = (greedy_rho(n), 1)
     kmax = _path_vertex_bound(q)
-    depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
+    depth = (kmax - 1).bit_length()
     never = q.budget + 1   # no call asks for a larger budget
     memo: dict = {}        # (s, t, depth, mask) -> entry, or list of 2+
 
@@ -218,6 +230,23 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
                     if lo + back < nxt:
                         nxt = lo + back
                     continue
+                if depth == 1:   # the left half is the edge [s, v]
+                    lm = 1 << s | 1 << v
+                    lp = (s, v) if v != s else (s,)
+                    if t is None:
+                        right = best(v, None, budget - lo, 0, mask | lm)
+                        if lo + right[4] < nxt:
+                            nxt = lo + right[4]
+                        if right[0] > top[0]:
+                            top = (right[0], lp + right[1][1:],
+                                   lm | right[2], lo + right[3])
+                    else:   # and the right half the edge [v, t]
+                        pm = lm | 1 << t
+                        val = num(mask | pm)
+                        if val > top[0]:
+                            top = (val, lp + ((t,) if t != v else ()), pm,
+                                   lo + back)
+                    continue
                 prev = None
                 # b1 >= d(s, v) and budget - b1 >= d(v, t): both halves exist
                 b1 = lo
@@ -229,11 +258,10 @@ def sop_recursive_greedy(q: SopQuery) -> SopResult:
                                      mask | left[2])
                         if b1 + right[4] < nxt:
                             nxt = b1 + right[4]
-                        pm = left[2] | right[2]
-                        total = num(mask | pm)
-                        if total > top[0]:
-                            top = (total, left[1] + right[1][1:], pm,
-                                   left[3] + right[3])
+                        # right is keyed on mask u left: its value is the total
+                        if right[0] > top[0]:
+                            top = (right[0], left[1] + right[1][1:],
+                                   left[2] | right[2], left[3] + right[3])
                     b1 = left[4]   # the left half is the same until then
                 if b1 + back < nxt:
                     nxt = b1 + back

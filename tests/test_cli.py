@@ -481,6 +481,7 @@ SOLVERS = {"latcov.lcst", "latcov.stochastic", "latcov.mlsc",
            "latcov.orienteering", "latcov.ranking"}
 NO_LCST_OR_STOCHASTIC = {"latcov.lcst", "latcov.stochastic"}
 NO_PATH_SOLVERS = {"latcov.lcst", "latcov.mlsc", "latcov.orienteering"}
+ONLY_LCST = SOLVERS - {"latcov.lcst"}
 # a tiny run of each subcommand (None: import only), with the solver
 # modules it must not load; each one costs start-up compile time
 LOADS = [
@@ -497,7 +498,8 @@ LOADS = [
     (list(SSC_ARGS) + ["--samples", "20"], NO_PATH_SOLVERS),
     (list(FILTERS_ARGS) + ["--samples", "20"], NO_PATH_SOLVERS),
     (list(SGMSSC_ARGS) + ["--samples", "20"], NO_PATH_SOLVERS),
-    (["lcst", "--gen", "tree:n=5:seed=1"], {"latcov.stochastic"}),
+    (["lcst", "--gen", "tree:n=5:seed=1"], ONLY_LCST),
+    (["suite", "lcst-probes", "--seeds", "2", "--jobs", "1"], ONLY_LCST),
 ]
 
 

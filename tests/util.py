@@ -1,11 +1,13 @@
 """Independent oracles for tests; deliberately written with different
 machinery than the library routines they check."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from operator import itemgetter
 from typing import Optional, Sequence
 
+from latcov import orienteering
 from latcov.errors import Uncoverable
 from latcov.mlsc import (LatencyTour, PhaseLog, PhaseRecord,
                          ResidualValuation, augmentation_count)
@@ -378,6 +380,77 @@ def reference_alg_mlsc(metric, vs, solver, rho, sigma):
             budget *= 2
     tour = LatencyTour.from_walk(metric, vs, walk)
     return tour, PhaseLog(vs.alpha, rho, sigma, h, tuple(phases))
+
+
+def reference_recursive_greedy(q):
+    """sop_recursive_greedy as it stood when every depth-0 half was a
+    memoized call, a fixed endpoint's included, and each split valued its
+    candidate with its own num call."""
+    n = q.metric.n
+    d = q.metric.dist
+    num = q.valuation.num
+    declared = (orienteering.greedy_rho(n), 1)
+    kmax = orienteering._path_vertex_bound(q)
+    depth = math.ceil(math.log2(kmax)) if kmax >= 2 else 0
+    never = q.budget + 1
+    memo = {}
+
+    def best(s, t, budget, depth, mask):
+        key = (s, t, depth, mask)
+        got = memo.get(key)
+        for hit in (got,) if type(got) is tuple else got or ():
+            if hit[3] <= budget < hit[4]:
+                return hit
+        ds = d[s]
+        nxt = never
+        if t is None:
+            top = (num(mask | 1 << s), (s,), 1 << s, 0)
+            for v in range(n):
+                if v == s:
+                    continue
+                if ds[v] <= budget:
+                    pm = 1 << s | 1 << v
+                    val = num(mask | pm)
+                    if val > top[0]:
+                        top = (val, (s, v), pm, ds[v])
+                elif ds[v] < nxt:
+                    nxt = ds[v]
+        else:
+            pm = 1 << s | 1 << t
+            top = (num(mask | pm), (s, t) if s != t else (s,), pm, ds[t])
+        if depth > 0:
+            for v in range(n):
+                lo, back = ds[v], d[v][t] if t is not None else 0
+                if lo + back > budget:
+                    if lo + back < nxt:
+                        nxt = lo + back
+                    continue
+                prev = None
+                b1 = lo
+                while b1 <= budget - back:
+                    left = best(s, v, b1, depth - 1, mask)
+                    if left[1] != prev:
+                        prev = left[1]
+                        right = best(v, t, budget - b1, depth - 1,
+                                     mask | left[2])
+                        if b1 + right[4] < nxt:
+                            nxt = b1 + right[4]
+                        pm = left[2] | right[2]
+                        total = num(mask | pm)
+                        if total > top[0]:
+                            top = (total, left[1] + right[1][1:], pm,
+                                   left[3] + right[3])
+                    b1 = left[4]
+                if b1 + back < nxt:
+                    nxt = b1 + back
+        entry = top + (nxt,)
+        memo[key] = entry if got is None else (
+            [got, entry] if type(got) is tuple else [*got, entry])
+        return entry
+
+    path = best(q.root, None, q.budget, depth, 0)[1]
+    memo.clear()
+    return orienteering._finish(q, path, declared)
 
 
 def reference_run(inst, policy, outcome, runs):
