@@ -9,12 +9,11 @@ stochastic form.
 
 import math
 import random
-import statistics
 from fractions import Fraction
 
 from latcov.instances.generators import random_instance
 from latcov.stochastic import (alg_ag_sto, evaluate_policy, greedy_policy,
-                               optimal_adaptive, outcome_sampler, reduce_ssc,
+                               optimal_adaptive, outcome_tally, reduce_ssc,
                                sample_outcome)
 
 
@@ -45,13 +44,15 @@ def main():
     print(f"ratio {float(ge / oe):.4f}")
     assert ge >= oe
 
-    # sampling is what wssr falls back on past the exact cap: one prepared
-    # sampler, and one run tree shared by every replay of the greedy rule
-    rng, draw, runs = random.Random(5), outcome_sampler(inst), {}
-    objs = [alg_ag_sto(inst, draw(rng), gp, runs).objective
-            for _ in range(20000)]
-    mean = statistics.fmean(objs)
-    stderr = statistics.stdev(objs) / math.sqrt(len(objs))
+    # sampling is what wssr falls back on past the exact cap: the draws are
+    # tallied, and each distinct outcome is replayed once, on one run tree
+    # shared by every replay of the greedy rule
+    samples, runs = 20000, {}
+    tally = [(alg_ag_sto(inst, w, gp, runs).objective, k)
+             for w, k in outcome_tally(inst, random.Random(5), samples)]
+    mean = sum(k * o for o, k in tally) / samples
+    var = sum(k * (o - mean) ** 2 for o, k in tally) / (samples - 1)
+    stderr = math.sqrt(var / samples)
     err = abs(mean - float(ge))
     print(f"monte-carlo replay of the greedy policy: {mean:.4f} "
           f"+- {stderr:.4f} (true {float(ge):.4f}, off by {err:.4f})")

@@ -42,6 +42,8 @@ COLUMNS = ("command", "config", "seed", "objective", "oracle", "ratio",
 
 SUITE_NAMES = ("ranking-lemmas", "mlsc-lemmas", "lcst-probes", "wssr-lemmas")
 
+SAMPLE_CAP = 5_000_000   # a Monte-Carlo wssr run here takes about 10 s
+
 # genspec heads: valuation styles make ranking instances, the rest map to
 # the named generators
 GEN_STYLES = {"explicit": "explicit", "gmssc": "singlegroup",
@@ -297,18 +299,16 @@ def cmd_lcst(args):
 
 def _stochastic_rows(st, args):
     from .stochastic import (alg_ag_sto, check_sto_recurrence, evaluate_policy,
-                             greedy_policy, optimal_adaptive, outcome_sampler)
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+                             greedy_policy, optimal_adaptive, outcome_tally)
+    _samples(args.samples)
     policy = greedy_policy(st)
     try:
         objective = evaluate_policy(st, policy)
         detail = {"mode": "exact", "horizon": st.total_length}
     except CapExceeded:
-        rng = random.Random(f"wssr-cli:{args.seed}")
-        draw, runs = outcome_sampler(st), {}
-        total = sum(alg_ag_sto(st, draw(rng), policy, runs).objective
-                    for _ in range(args.samples))
+        rng, runs = random.Random(f"wssr-cli:{args.seed}"), {}
+        total = sum(k * alg_ag_sto(st, w, policy, runs).objective
+                    for w, k in outcome_tally(st, rng, args.samples))
         objective = Fraction(total, args.samples)
         detail = {"mode": "mc", "samples": args.samples}
     detail.update(n=st.n, m=st.valuations.m)
@@ -319,6 +319,13 @@ def _stochastic_rows(st, args):
             st, opt_policy, samples=args.samples, seed=args.seed,
             greedy=policy)))
     return [fields]
+
+
+def _samples(samples: int):
+    """Refuse --samples below 1 or past SAMPLE_CAP, before any draw."""
+    if samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {samples}")
+    check_cap("--samples", samples, SAMPLE_CAP, "samples")
 
 
 def cmd_wssr(args):
@@ -562,6 +569,7 @@ def _suite_outputs(names, seeds: int, samples: int, workers: int) -> list:
 def cmd_suite(args):
     if args.seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {args.seeds}")
+    _samples(args.samples)
     names = SUITE_NAMES if args.name == "lemmas" else (args.name,)
     outputs = _suite_outputs(names, args.seeds, args.samples,
                              suite_workers(args.jobs, args.seeds))

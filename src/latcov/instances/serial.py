@@ -31,7 +31,8 @@ from .generators import GEN_CAP, Instance
 from .metrics import metric_from_matrix
 from .stoch import StochasticInstance
 from .trees import GroupedTree
-from .valuations import CoverFunction, CoverTerm, ExplicitFunction, ValuationSet
+from .valuations import (CoverFunction, CoverTerm, ExplicitFunction,
+                         ValuationSet, flip_pairs)
 
 FORMAT_KINDS = ("ranking", "mlsc", "lcst", "wssr")
 HEADER_FIELDS = {"METRIC": 2, "TREE": 2, "VALUATIONS": 4, "STOCHASTIC": 2}
@@ -297,19 +298,9 @@ def _parse_function(line: str, n: int, index: int):
 
 
 def _monotone(nums: list[int], n: int) -> bool:
-    """No nums[m] > nums[m | 1 << e], compared slice against slice: in
-    strides for the low bits, in contiguous blocks for the high ones."""
-    size = len(nums)
-    for e in range(n):
-        b = 1 << e
-        if 2 * b * b <= size:
-            pairs = ((nums[j::2 * b], nums[j + b::2 * b]) for j in range(b))
-        else:
-            pairs = ((nums[s:s + b], nums[s + b:s + 2 * b])
-                     for s in range(0, size, 2 * b))
-        if any(any(map(operator.gt, lo, hi)) for lo, hi in pairs):
-            return False
-    return True
+    """No nums[m] > nums[m | 1 << e], compared slice against slice."""
+    return not any(any(map(operator.gt, lo, hi))
+                   for lo, hi in flip_pairs(nums, n))
 
 
 def dump(inst: Instance, path: str):

@@ -30,7 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import sub
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import check_cap
 
@@ -364,19 +366,26 @@ def alpha_from_epsilon(epsilon: Fraction) -> Fraction:
     return Fraction(math.ceil(x * 10**9) + 1, 10**9)
 
 
+def flip_pairs(nums: list, n: int) -> Iterator[tuple[list, list]]:
+    """Slices (lo, hi) of a 2^n-mask table pairing nums[m] with nums[m | 1
+    << e] for every mask m without e: strided for low e, blocks for high."""
+    for e in range(n):
+        b = 1 << e
+        if 2 * b * b <= len(nums):
+            yield from ((nums[j::2 * b], nums[j + b::2 * b]) for j in range(b))
+        else:
+            yield from ((nums[s:s + b], nums[s + b:s + 2 * b])
+                        for s in range(0, len(nums), 2 * b))
+
+
 def min_nonzero_marginal(fn, n: int) -> Fraction:
     """Exhaustive smallest nonzero single-element marginal of one function,
     scanned as its ints over its one denominator."""
     check_cap("marginal enumeration", n, SUBMODULAR_CAP)
     ints = [fn.num(mask) for mask in range(1 << n)]
-    best: int | None = None
-    for mask, base in enumerate(ints):
-        for e in range(n):
-            if mask & (1 << e):
-                continue
-            gain = ints[mask | (1 << e)] - base
-            if gain > 0 and (best is None or gain < best):
-                best = gain
+    gains = chain.from_iterable(map(sub, hi, lo)
+                                for lo, hi in flip_pairs(ints, n))
+    best = min(filter((0).__lt__, gains), default=None)
     if best is None:
         raise ValueError("function is constant")
     return Fraction(best, fn.den)

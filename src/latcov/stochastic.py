@@ -11,9 +11,9 @@ bitmasks, and a pure function of them: it names the next element, or None
 to stop. Replay asks it state by state along one outcome vector until it
 stops or everything is covered. The runs form a tree on the points drawn at
 the visited elements, which a caller replaying many outcomes keeps per
-policy for its loop (policy_cover_times), so each path is computed once;
-each node carries the cover times reached at it, and a child adds its one
-step to its parent's.
+policy (policy_cover_times); each node carries the cover times reached at
+it, and a child adds its one step to its parent's. Sampling loops replay
+each distinct outcome vector once per block of samples (outcome_tally).
 One memoized recursion over states gives a policy's exact expected cost
 (evaluate_policy) and, minimizing over the next element, the optimal policy
 (optimal_adaptive). That space is exponential, so both are capped very
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded, size_cap
 from .instances.stoch import StochasticInstance, Support
@@ -48,6 +48,7 @@ from .ranking import check_decay, checkpoint_base, uncovered_at
 
 ADAPTIVE_ELEMENT_CAP = 4
 ADAPTIVE_SUPPORT_CAP = 3
+OUTCOME_BLOCK = 4096   # samples outcome_tally counts at once
 
 # (scheduled mask, realized mask) -> next element, or None to stop
 AdaptivePolicy = Callable[[int, int], Optional[int]]
@@ -85,26 +86,28 @@ def sto_residual_score(inst: StochasticInstance, scheduled: int,
                     residual.den * total)
 
 
-def outcome_sampler(inst: StochasticInstance
-                    ) -> Callable[[random.Random], tuple[int, ...]]:
-    """sample_outcome prepared once: draw(rng) gives each element the first
+def outcome_tally(inst: StochasticInstance, rng: random.Random,
+                  samples: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """`samples` independent realizations as (outcome vector, count) pairs,
+    each distinct vector once per block of OUTCOME_BLOCK samples in
+    first-draw order; memory is one block's. An element takes the first
     support point whose running float sum of probabilities exceeds its
-    rng.random(), or its last point if round-off leaves the draw past it."""
+    rng.random() (the last point if round-off leaves the draw past it), in
+    the per-sample loop's order: sample by sample, element by element."""
     tables = [(list(accumulate(float(p) for _, p in supp)),
                tuple(b for b, _ in supp) + (supp[-1][0],))
               for supp in inst.supports]
-
-    def draw(rng: random.Random) -> tuple[int, ...]:
-        return tuple([points[bisect_right(sums, rng.random())]
-                      for sums, points in tables])
-
-    return draw
+    for start in range(0, samples, OUTCOME_BLOCK):
+        yield from Counter([
+            tuple([points[bisect_right(sums, rng.random())]
+                   for sums, points in tables])
+            for _ in range(min(OUTCOME_BLOCK, samples - start))]).items()
 
 
 def sample_outcome(inst: StochasticInstance, rng: random.Random
                    ) -> tuple[int, ...]:
     """One independent realization per element."""
-    return outcome_sampler(inst)(rng)
+    return next(outcome_tally(inst, rng, 1))[0]
 
 
 def _node(inst: StochasticInstance, policy: AdaptivePolicy, scheduled: int,
@@ -313,11 +316,10 @@ def check_sto_recurrence(inst: StochasticInstance, policy: AdaptivePolicy,
     rng = random.Random(f"wssr-mc:{seed}")
     if greedy is None:
         greedy = greedy_policy(inst)
-    draw, greedy_runs, policy_runs = outcome_sampler(inst), {}, {}
-    tally = Counter(   # distinct (greedy, reference) cover times
-        (policy_cover_times(inst, greedy, w, greedy_runs),
-         policy_cover_times(inst, policy, w, policy_runs))
-        for w in (draw(rng) for _ in range(samples)))
+    tally, greedy_runs, policy_runs = Counter(), {}, {}
+    for w, k in outcome_tally(inst, rng, samples):
+        tally[policy_cover_times(inst, greedy, w, greedy_runs),
+              policy_cover_times(inst, policy, w, policy_runs)] += k
 
     def counts(t: int, t_star: int) -> list[tuple[int, int]]:
         return [(uncovered_at(ct, t), uncovered_at(ct_star, t_star))

@@ -594,6 +594,28 @@ def test_nonpositive_samples_is_bad_input(capsys):
         assert "samples" in err and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("wssr", "--gen", "stochastic:n=6:seed=1"),
+    ("wssr", "--gen", "stochastic:n=3:seed=1", "--oracle"),
+    SSC_ARGS, FILTERS_ARGS + ("--oracle",), SGMSSC_ARGS,
+    ("suite", "wssr-lemmas", "--seeds", "1"),
+    ("suite", "lemmas", "--seeds", "1", "--jobs", "1")],
+    ids=["wssr", "wssr-oracle", "ssc", "filters", "sgmssc", "suite-wssr",
+         "suite-lemmas"])
+def test_samples_past_the_cap_are_refused_before_drawing(argv):
+    # 10**12 samples would never finish: a subprocess, so a missing
+    # refusal fails on its timeout; the refusal names the cap in force
+    proc = subprocess.run(
+        [sys.executable, "-m", "latcov", *argv, "--samples", str(10**12)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"--samples capped at samples={cli.SAMPLE_CAP}, "
+        f"got samples={10**12}\n"), proc.stderr
+    assert cli.SAMPLE_CAP >= 10**4   # C13's count, the largest in use
+
+
 def test_nonpositive_suite_seeds_is_bad_input(capsys):
     for seeds in ("0", "-3"):
         assert cli.main(["suite", "lemmas", "--seeds", seeds]) == 2, seeds

@@ -434,6 +434,53 @@ def test_min_nonzero_marginal_matches_fraction_reference():
             assert type(got) is Fraction and got == want, seed
 
 
+def loop_min_nonzero_marginal(fn, n):
+    """Test-only copy of min_nonzero_marginal's per-mask, per-element loop,
+    from before it scanned slice pairs."""
+    ints = [fn.num(mask) for mask in range(1 << n)]
+    best = None
+    for mask, base in enumerate(ints):
+        for e in range(n):
+            if mask & (1 << e):
+                continue
+            gain = ints[mask | (1 << e)] - base
+            if gain > 0 and (best is None or gain < best):
+                best = gain
+    if best is None:
+        raise ValueError("function is constant")
+    return Fraction(best, fn.den)
+
+
+def test_min_nonzero_marginal_matches_per_mask_loop():
+    rng, tables = random.Random("marginal-slices"), []
+    for n in range(1, 11):
+        for trial in range(6):
+            den = rng.choice((1, 2, 3, 7, 12))
+            nums = [rng.randint(0, 9) for _ in range(1 << n)]
+            if trial % 2:   # monotone: at least each subset's max
+                for mask in range(1 << n):
+                    nums[mask] = max([nums[mask & ~(1 << e)] for e in range(n)
+                                      if mask >> e & 1] + [nums[mask]])
+            if trial == 4:   # one step, into the full set only
+                nums = [0] * (1 << n)
+                nums[-1] = 1
+            tables.append((n, nums, den))
+        tables += [(n, [value] * (1 << n), 7) for value in (0, 5)]
+    refused = 0
+    for n, nums, den in tables:
+        fn = ExplicitFunction.from_nums(n, nums, den)
+        try:
+            want = loop_min_nonzero_marginal(fn, n)
+        except ValueError as exc:   # no positive gain anywhere
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                min_nonzero_marginal(fn, n)
+            refused += 1
+            continue
+        got = min_nonzero_marginal(fn, n)
+        assert type(got) is Fraction and got == want, (n, nums, den)
+    assert 20 <= refused < len(tables) - 30
+
+
 # ---- one root-first pass, against the reference copies in util.py ---------
 
 # faults for GroupedTree inputs; the first five are parent-array faults, the
