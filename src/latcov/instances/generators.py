@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ..errors import check_cap
+from ..errors import check_cap, size_cap
 from .metrics import GridPoints, Metric, uniform_metric
 from .stoch import StochasticInstance
 from .trees import GroupedTree, normalize
@@ -54,7 +54,10 @@ STYLES = ("singlegroup", "multicoverage", "coverage", "explicit")
 
 
 def _random_valuations(rng: random.Random, n: int, pool: list[int]) -> ValuationSet:
-    return _styled_valuations(rng, rng.choice(STYLES), n, pool)
+    style = rng.choice(STYLES)
+    if style == "explicit" and n > size_cap(SUBMODULAR_CAP):
+        style = "multicoverage"   # the same groups, left untabulated
+    return _styled_valuations(rng, style, n, pool)
 
 
 def random_valuations(style: str, n: int, seed: int) -> ValuationSet:

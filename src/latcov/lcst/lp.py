@@ -9,8 +9,14 @@ and each new violated row joins the system, until none is violated beyond
 the tolerance.  The oracle's answer depends only on the group and its
 inputs (x on the group's reduced tree, y^l_g), not on the level, so each
 group keeps one memo of answers keyed by inputs, shared by its levels and
-rounds.  Every coefficient is an integer: exact mode hands the simplex int
-rows and gets Fractions back.  The reported objective is
+rounds.  Every coefficient is an integer, so exact mode hands the simplex
+int rows and reads each vertex back as int numerators over one common
+denominator D.  Separation compares those ints: scaling every input by
+D > 0 keeps each sum, tie and sign, so the cuts are the ones the rational
+inputs give.  A memo key is the closure's numerators, y's numerator and D
+over their gcd, equal exactly when the rational inputs are; a cached
+deficit is read back in the round's units through that gcd.  Fractions
+are built once, for the returned solution.  The reported objective is
 (1/2) sum_l 2^l sum_g (1 - y^l_g).
 """
 
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ..errors import SolverStall
 from .separation import reduced_tree, separate_kc
@@ -112,6 +119,7 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
         add_row({yvar(L, gi): 1}, 1)
 
     closures = [reduced_tree(tree, g) for g in tree.groups]
+    closure_cols = [[eidx[e] for e in cl] for cl in closures]  # at level 0
     memos = [{} for _ in range(G)]   # per group: inputs -> separation result
     seen: set = set()
     cuts: list[KcRow] = []
@@ -122,26 +130,32 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
             raise SolverStall(
                 f"cut generation still active after {iterations} rounds; "
                 f"last violation {last_viol}")
-        sol, value = solve_canonical_max(c, rows, rhs, tol=pivot_tol)
+        x, value = solve_canonical_max(c, rows, rhs, tol=pivot_tol)
         iterations += 1
-        xs = tuple({e: sol[xvar(lv, e)] for e in edges} for lv in range(nlev))
-        ys = tuple(tuple(sol[yvar(lv, gi)] for gi in range(G))
-                   for lv in range(nlev))
+        # the vertex is vals[j] / scale; exact mode compares the ints
+        vals, scale = (x.nums, x.den) if exact else (x, 1)
         violated, fresh, worst = False, 0, zero
         for gi, (g, k) in enumerate(zip(tree.groups, tree.reqs)):
-            memo = memos[gi]
+            memo, closure = memos[gi], closures[gi]
             for lv in range(nlev):
-                inputs = (tuple(xs[lv][e] for e in closures[gi]), ys[lv][gi])
-                if inputs in memo:
-                    v = memo[inputs]
+                inputs = [vals[lv * E + j] for j in closure_cols[gi]]
+                inputs += (vals[yvar(lv, gi)], scale)
+                common = gcd(*inputs) if exact else 1
+                if common > 1:  # then equal keys are equal rational inputs
+                    inputs = [v // common for v in inputs]
+                key = tuple(inputs)
+                if key in memo:
+                    v = memo[key]
                 else:
-                    v = memo[inputs] = separate_kc(tree, g, k, xs[lv],
-                                                   ys[lv][gi], tol=tol)
+                    v = memo[key] = separate_kc(tree, g, k,
+                                                dict(zip(closure, key)),
+                                                key[-2], tol=tol)
                 if v is None:
                     continue
                 violated = True
-                if v.deficit > worst:
-                    worst = v.deficit
+                deficit = v.deficit * common   # in units of 1/scale
+                if deficit > worst:
+                    worst = deficit
                 sig = (lv, gi, v.multiplier, v.leaf_cut, v.inner_cut)
                 if sig in seen:
                     continue
@@ -155,12 +169,16 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
                 fresh += 1
         if not violated:
             break
-        last_viol = worst
+        last_viol = Fraction(worst, scale) if exact else worst
         if fresh == 0:
             raise SolverStall(
                 "separation keeps flagging rows already in the system; "
                 f"violation {last_viol}")
 
+    sol = list(x)   # exact: one Fraction per variable, for the last round
+    xs = tuple({e: sol[xvar(lv, e)] for e in edges} for lv in range(nlev))
+    ys = tuple(tuple(sol[yvar(lv, gi)] for gi in range(G))
+               for lv in range(nlev))
     half = Fraction(1, 2) if exact else 0.5
     total = num(G * ((1 << nlev) - 1))
     objective = half * (total - value)

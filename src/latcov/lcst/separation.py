@@ -11,6 +11,11 @@ separate, so for fixed eta the worst (A, B) pair is a minimum cut with bound
 D = |g| - eta on the reduced tree (the ancestor closure of g), with member
 leaf edges priced x_j and the rest priced (k_g - eta) * x_e.  Only
 eta < k_g matters: beyond that the right-hand side is nonpositive.
+
+Values may be Fractions, floats or ints.  The exact cut LP passes x and y
+as int numerators over one common denominator: every quantity compared is
+then scaled by the same positive factor, so the cut is the same, and the
+returned cut value, bound and deficit are in those scaled units.
 """
 
 from __future__ import annotations

@@ -21,16 +21,39 @@ denominator; a row R with entry f in the entering column becomes
 fraction-free elimination of Bareiss and Edmonds, and is reduced by its gcd
 whenever a > 1. Ratios compare by cross-multiplication. Float data pivots
 in floats. The pivots are those of dense elimination, bit for bit.
+
+An exact solve returns x as a ScaledVector: int numerators over the lcm D
+of the denominators of the rows whose basic variable is structural. It
+reads as a sequence of Fractions, each built on access; a caller that
+compares values, like the cut LP, reads its ints and D instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Mapping, Sequence
 
 from ..errors import Unbounded
+
+
+class ScaledVector(Sequence):
+    """Read-only vector x[j] = Fraction(nums[j], den), with den > 0."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list, den: int):
+        self.nums, self.den = nums, den
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __getitem__(self, j: int):
+        return Fraction(self.nums[j], self.den)
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 def solve_canonical_max(c: Sequence, rows: Sequence[Mapping], b: Sequence,
@@ -39,7 +62,9 @@ def solve_canonical_max(c: Sequence, rows: Sequence[Mapping], b: Sequence,
 
     `rows[i]` maps column indices to the entries of row i of A.
     Raises Unbounded when the objective is unbounded above. `tol` is the
-    pivot/optimality threshold: keep it 0 for exact data.
+    pivot/optimality threshold: keep it 0 for exact data, which returns x
+    as a ScaledVector and the value as a Fraction; float data returns a
+    list and a float.
     """
     m, n = len(rows), len(c)
     if any(bi < 0 for bi in b):
@@ -100,13 +125,17 @@ def solve_canonical_max(c: Sequence, rows: Sequence[Mapping], b: Sequence,
             stalled = 0 if best_r > tol else stalled + 1
             bland = stalled >= 40
 
-    if exact:
-        rhs = [Fraction(r, d) for r, d in zip(rhs, den)]
-    x = [Fraction(0) if exact else zero] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
+    structural = [(i, bv) for i, bv in enumerate(basis) if bv < n]
+    if not exact:
+        x = [zero] * n
+        for i, bv in structural:
             x[bv] = rhs[i]
-    return x, rhs[m]
+        return x, rhs[m]
+    unit = lcm(*[den[i] for i, _ in structural])
+    nums = [0] * n
+    for i, bv in structural:
+        nums[bv] = rhs[i] * (unit // den[i])
+    return ScaledVector(nums, unit), Fraction(rhs[m], den[m])
 
 
 def _pivot(tab, rhs, den, index, col, leave, enter, exact):

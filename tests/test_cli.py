@@ -633,7 +633,7 @@ def test_explicit_table_refused_before_tabulating(tmp_path, capsys):
     huge = 10 ** 20
     big = tmp_path / "big.lcov"
     big.write_text("LATCOV v1 mlsc\nMETRIC 1000 0\n")
-    for argv in (["gen", "grid:n=20:seed=1"], ["gen", "explicit:n=30"],
+    for argv in (["gen", "explicit:n=20"], ["gen", "explicit:n=30"],
                  ["gen", f"coverage:n={huge}"],
                  ["rank", "--gen", f"gmssc:n={huge}"],
                  ["gen", f"tree:n={huge}"], ["gen", f"stochastic:n={huge}"],
@@ -643,6 +643,69 @@ def test_explicit_table_refused_before_tabulating(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         assert time.perf_counter() - start < 5, argv
         assert "capped" in capsys.readouterr().err
+
+
+# sha256 prefixes of `gen grid:n=N:seed=S` stdout for every spec with
+# N = 13..16 and S = 0..7 that drew no explicit table past its cap
+GRID_GEN_DIGESTS = {
+    "grid:n=13:seed=0": "1df169ccf998bbcd",
+    "grid:n=13:seed=1": "0e5c1aed79962574",
+    "grid:n=13:seed=2": "4aa0bc5ba63821e6",
+    "grid:n=13:seed=4": "eeced5f50598b5dd",
+    "grid:n=13:seed=5": "baa6314b3e89f4d2",
+    "grid:n=13:seed=6": "b71f3de6a7de8f82",
+    "grid:n=13:seed=7": "429ca57322b03bf0",
+    "grid:n=14:seed=0": "33ba4f5280e4565b",
+    "grid:n=14:seed=1": "83eb80463ca76ca1",
+    "grid:n=14:seed=2": "956c5a8b16cfc16f",
+    "grid:n=14:seed=3": "e6ca8c24e4d539cc",
+    "grid:n=14:seed=4": "7eefb4c5fb2402f9",
+    "grid:n=15:seed=1": "76876408c9bb9a84",
+    "grid:n=15:seed=2": "7697c08424918c51",
+    "grid:n=15:seed=3": "9719f6210bfdb476",
+    "grid:n=15:seed=5": "ff6bdc2c0660984e",
+    "grid:n=15:seed=6": "f39d0b2f1a5c3ebd",
+    "grid:n=15:seed=7": "bcc49afb099de2e1",
+    "grid:n=16:seed=0": "64d82826594cd972",
+    "grid:n=16:seed=1": "fe60ded7a88e9d6c",
+    "grid:n=16:seed=2": "cb1f59f4e4928e0c",
+    "grid:n=16:seed=3": "40e698642875e528",
+    "grid:n=16:seed=5": "273f4f4f145a2819",
+    "grid:n=16:seed=6": "bf275e7b8a04e1cd",
+    "grid:n=16:seed=7": "c80c7312655f54be",
+}
+
+
+def test_generated_grids_past_the_table_cap_fall_back(capsys):
+    # a seed that draws the explicit style past the table cap gets the
+    # multicoverage set of the same groups instead of a refusal; every
+    # other seed generates the same instance as before
+    fallbacks = []
+    for n in range(13, 17):
+        for seed in range(8):
+            spec = f"grid:n={n}:seed={seed}"
+            code, out = run_cli(capsys, "gen", spec)
+            assert code == 0, spec
+            digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+            if spec in GRID_GEN_DIGESTS:
+                assert digest == GRID_GEN_DIGESTS[spec], spec
+            else:
+                assert cli.parse_genspec(spec).valuations.kind \
+                    == "multicoverage", spec
+                fallbacks.append(spec)
+    assert len(fallbacks) == 7
+
+
+def test_grid_fallback_is_the_table_it_replaces(monkeypatch):
+    # with the cap raised, grid:n=13:seed=3 tabulates its explicit table;
+    # the fallback computes the same values from the same groups
+    fallback = cli.parse_genspec("grid:n=13:seed=3").valuations.functions[0]
+    monkeypatch.setenv("LATCOV_CAP", "13")
+    table = cli.parse_genspec("grid:n=13:seed=3").valuations
+    assert table.kind == "explicit"
+    (table,) = table.functions
+    assert all(fallback.value(mask) == table.value(mask)
+               for mask in range(1 << 13))
 
 
 def test_tree_header_longer_than_file_is_bad_input(tmp_path, capsys):

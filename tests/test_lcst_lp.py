@@ -1,10 +1,12 @@
 """Cutting-plane LP over levels, checked against closed forms and brute force."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+import latcov.lcst.lp as lp_mod
 from latcov.cli import _tree_from_metric, parse_genspec
 from latcov.errors import SolverStall
 from latcov.lcst.lp import (EXACT_VAR_LIMIT, FLOAT_TOL, PIVOT_TOL, KcRow,
@@ -128,12 +130,29 @@ def test_iteration_cap_raises():
         solve_lp_lcst(single_leaf_tree(6), max_iters=1)
 
 
+@pytest.mark.parametrize("tree, rounds, text", [
+    (single_leaf_tree(6), 1, "1"),
+    (random_grouped_tree(101, 5), 3, "1/2"),   # a fractional deficit
+    (random_grouped_tree(101, 5), 0, "0"),
+])
+def test_stall_names_the_last_violation_in_lp_units(tree, rounds, text):
+    # separation compares ints over the round's denominator; the message
+    # reads the worst deficit back as the LP's own rational
+    with pytest.raises(SolverStall) as info:
+        solve_lp_lcst(tree, max_iters=rounds)
+    assert str(info.value) == (
+        f"cut generation still active after {rounds} rounds; "
+        f"last violation {text}")
+
+
 def unmemoized_lp_lcst(tree, exact_limit=EXACT_VAR_LIMIT):
     """The cut loop before the separation memo: every round separates every
     (level, group) pair, on Fraction (or float) data.
 
-    Returns (x, y, objective, iterations, cuts) as solve_lp_lcst computes
-    them; the base rows and the cut rows are built in the same order.
+    Returns (x, y, objective, iterations, cuts, level_of, kc_rows) as
+    solve_lp_lcst computes them, and per group the set of distinct
+    separation inputs (closure x, y^l_g) over all levels and rounds; the
+    base rows and the cut rows are built in the same order.
     """
     edges = tree.edges
     E, G = len(edges), len(tree.groups)
@@ -176,6 +195,8 @@ def unmemoized_lp_lcst(tree, exact_limit=EXACT_VAR_LIMIT):
             add_row({yvar(lv, gi): 1, yvar(lv + 1, gi): -1}, 0)
         add_row({yvar(L, gi): 1}, 1)
 
+    closures = [reduced_tree(tree, g) for g in tree.groups]
+    inputs = [set() for _ in range(G)]
     seen, cuts, iterations = set(), [], 0
     while True:
         sol, value = solve_canonical_max(c, rows, rhs, tol=pivot_tol)
@@ -186,6 +207,8 @@ def unmemoized_lp_lcst(tree, exact_limit=EXACT_VAR_LIMIT):
         violated, fresh = False, 0
         for gi, (g, k) in enumerate(zip(tree.groups, tree.reqs)):
             for lv in range(nlev):
+                inputs[gi].add((tuple(xs[lv][e] for e in closures[gi]),
+                                ys[lv][gi]))
                 v = separate_kc(tree, g, k, xs[lv], ys[lv][gi], tol=tol)
                 if v is None:
                     continue
@@ -208,7 +231,11 @@ def unmemoized_lp_lcst(tree, exact_limit=EXACT_VAR_LIMIT):
         assert fresh > 0
     half = Fraction(1, 2) if exact else 0.5
     objective = half * (num(G * ((1 << nlev) - 1)) - value)
-    return xs, ys, objective, iterations, tuple(cuts)
+    thr = half if exact else half - tol
+    level_of = tuple(next((lv for lv in range(nlev) if ys[lv][gi] >= thr), L)
+                     for gi in range(G))
+    return ((xs, ys, objective, iterations, tuple(cuts), level_of, len(cuts)),
+            inputs)
 
 
 # random_grouped_tree seeds, generated trees, and the benchmark's embedded
@@ -226,11 +253,36 @@ def memo_tree(name):
     return inst.tree if kind == "tree" else _tree_from_metric(inst, 0)
 
 
+@functools.lru_cache(maxsize=None)
+def unmemoized_case(name):
+    return unmemoized_lp_lcst(memo_tree(name))
+
+
 @pytest.mark.parametrize("name", MEMO_CASES)
 def test_separation_memo_matches_unmemoized_loop(name):
     tree = memo_tree(name)
     sol = solve_lp_lcst(tree)
-    got = (sol.x, sol.y, sol.objective, sol.iterations, sol.cuts)
-    want = unmemoized_lp_lcst(tree)
+    got = (sol.x, sol.y, sol.objective, sol.iterations, sol.cuts,
+           sol.level_of, sol.kc_rows)
+    want, _ = unmemoized_case(name)
     assert sol.exact == (not name.startswith("grid"))
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", MEMO_CASES)
+def test_separation_runs_once_per_distinct_rational_input(name, monkeypatch):
+    # the exact memo keys ints over each round's own denominator, reduced
+    # by their gcd: a key must hit exactly when the rational inputs repeat,
+    # in any level and any round
+    tree = memo_tree(name)
+    group_of = {id(g): gi for gi, g in enumerate(tree.groups)}
+    calls = [0] * len(tree.groups)
+
+    def counted(tree_, g, *args, **kwargs):
+        calls[group_of[id(g)]] += 1
+        return separate_kc(tree_, g, *args, **kwargs)
+
+    monkeypatch.setattr(lp_mod, "separate_kc", counted)
+    solve_lp_lcst(tree)
+    _, inputs = unmemoized_case(name)
+    assert calls == [len(seen) for seen in inputs]

@@ -358,18 +358,10 @@ def test_every_budget_matches_gain_compare_on_supermodular_tables():
                     == gain_recursive_greedy(q)), (seed, budget)
 
 
-def accepted_grids(n, count):
-    """The first `count` grid instances of size n that the generator
-    accepts; it refuses a seed whose valuations are explicit tables past
-    their cap (n=13 seed 3, for one)."""
-    out, seed = [], 0
-    while len(out) < count:
-        try:
-            out.append(random_instance("euclidean-grid-metric", n, seed))
-        except CapExceeded:
-            pass
-        seed += 1
-    return out
+def first_grids(n, count):
+    """The grid instances of size n with seeds 0..count-1."""
+    return [random_instance("euclidean-grid-metric", n, seed)
+            for seed in range(count)]
 
 
 def test_closed_bottom_level_matches_reference_on_larger_grids():
@@ -377,7 +369,7 @@ def test_closed_bottom_level_matches_reference_on_larger_grids():
     # the root and one vertex collected, against the copy that memoized
     # every depth-0 half
     for n in range(10, 15):
-        for inst in accepted_grids(n, 4):
+        for inst in first_grids(n, 4):
             metric, vs = inst.metric, inst.valuations
             for s_mask, budget in ((0, 2 * metric.diameter),
                                    (1 << metric.root | 1 << n - 1,
@@ -396,7 +388,7 @@ def test_closed_bottom_level_matches_reference_on_mlsc_queries():
         return res
 
     for n in range(12, 17):
-        for inst in accepted_grids(n, 4):
+        for inst in first_grids(n, 4):
             alg_mlsc(inst.metric, inst.valuations, both, greedy_rho(n), 1)
 
 

@@ -169,7 +169,8 @@ def test_float_data_matches_reference_bit_for_bit():
 
 def test_lcst_cut_rounds_match_reference(monkeypatch):
     # the LP hands the kernel ints; the reference divides, so it gets them
-    # as Fractions, and the kernel's Fraction output must match it
+    # as Fractions, and the kernel's Fraction output must match it; the cut
+    # loop reads the same vertex as int numerators over one denominator
     calls = []
 
     def record(c, rows, b, tol):
@@ -189,6 +190,10 @@ def test_lcst_cut_rounds_match_reference(monkeypatch):
             [[Fraction(v) for v in r] for r in rows],
             [Fraction(v) for v in b])
         assert repr(got) == repr((x, value))
+        nums, den = got[0].nums, got[0].den
+        assert type(den) is int and den > 0
+        assert {type(v) for v in nums} <= {int}
+        assert [Fraction(v, den) for v in nums] == x
 
 
 def random_sparse_lp(rng, m, n, num):
