@@ -141,7 +141,7 @@ def solve_lp_lcst(tree, max_iters: int = ITER_CAP,
                 inputs = [vals[lv * E + j] for j in closure_cols[gi]]
                 inputs += (vals[yvar(lv, gi)], scale)
                 common = gcd(*inputs) if exact else 1
-                if common > 1:  # then equal keys are equal rational inputs
+                if common > 1:  # reduced, equal keys are equal rational inputs
                     inputs = [v // common for v in inputs]
                 key = tuple(inputs)
                 if key in memo:
