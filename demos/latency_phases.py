@@ -2,7 +2,7 @@
 """Phase-by-phase view of the min-latency cover tour.
 
 Runs the doubling-budget algorithm with the exact orienteering solver
-plugged in (rho = sigma = 1), prints what each phase collected, and
+plugged in (it declares rho = sigma = 1), prints what each phase collected, and
 compares the final tour against the brute-force latency optimum.
 """
 
@@ -20,7 +20,7 @@ def main():
     print(f"metric on {metric.n} points, {vs.m} valuations, "
           f"root {metric.root}")
 
-    tour, log = alg_mlsc(metric, vs, sop_exact, rho=1, sigma=1)
+    tour, log = alg_mlsc(metric, vs, sop_exact)
     print(f"alpha {log.alpha} (~{float(log.alpha):.4f}), "
           f"{log.augmentations} augmentations per phase")
     print()

@@ -43,6 +43,7 @@ COLUMNS = ("command", "config", "seed", "objective", "oracle", "ratio",
 SUITE_NAMES = ("ranking-lemmas", "mlsc-lemmas", "lcst-probes", "wssr-lemmas")
 
 SAMPLE_CAP = 5_000_000   # a Monte-Carlo wssr run here takes about 10 s
+SEED_CAP = 650   # suite lemmas at the default --samples: about 10 s here
 
 # genspec heads: valuation styles make ranking instances, the rest map to
 # the named generators
@@ -84,29 +85,6 @@ class RunConfig:
         blob = json.dumps({"subcommand": self.subcommand,
                            "options": dict(self.options)}, sort_keys=True)
         return sha256(blob.encode()).hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """One output row."""
-
-    command: str
-    config: str
-    seed: str = ""
-    objective: str = ""
-    oracle: str = ""
-    ratio: str = ""
-    ratio_num: str = ""
-    ratio_den: str = ""
-    checkpoints: str = ""
-    ok: str = ""
-    detail: str = ""
-
-    def row(self) -> list[str]:
-        return [getattr(self, c) for c in COLUMNS]
-
-    def as_obj(self) -> dict:
-        return {c: getattr(self, c) for c in COLUMNS}
 
 
 def _rat(x) -> str:
@@ -223,22 +201,19 @@ def cmd_sop(args):
                                  "solver": args.solver})}
     if args.oracle and args.solver == "greedy":
         exact = sop_exact(query)
-        ok = res.value * res.guarantee[0] >= exact.value and \
-            res.length <= budget
+        rho, sigma = res.guarantee
+        ok = res.value * rho >= exact.value and res.length <= sigma * budget
         fields.update(_verdict(res.value, exact.value, ok))
     return [fields]
 
 
 def cmd_mlsc(args):
     from .mlsc import alg_mlsc, brute_force_latency, check_mlsc_recurrence
-    from .orienteering import greedy_rho, sop_exact, sop_recursive_greedy
+    from .orienteering import sop_exact, sop_recursive_greedy
     inst = _resolve_instance(args, {"mlsc"}, "mlsc")
     metric, vs = inst.metric, inst.valuations
-    if args.solver == "exact":
-        solver, rho, sigma = sop_exact, 1, 1
-    else:
-        solver, rho, sigma = sop_recursive_greedy, greedy_rho(metric.n), 1
-    tour, log = alg_mlsc(metric, vs, solver, rho, sigma)
+    solver = sop_exact if args.solver == "exact" else sop_recursive_greedy
+    tour, log = alg_mlsc(metric, vs, solver)
     fields = {"objective": _rat(tour.objective),
               "detail": _detail({"kind": vs.kind, "n": metric.n,
                                  "phases": len(log.phases),
@@ -433,7 +408,7 @@ def _suite_mlsc(seed: int, samples: int) -> dict:
     from .mlsc import alg_mlsc, brute_force_latency, check_mlsc_recurrence
     from .orienteering import sop_exact
     inst = random_instance("uniform-metric", 4 + seed % 2, seed)
-    tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+    tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact)
     opt = brute_force_latency(inst.metric, inst.valuations)
     rec_ok, rows = check_mlsc_recurrence(tour, log, opt)
     alpha = inst.valuations.alpha
@@ -569,6 +544,7 @@ def _suite_outputs(names, seeds: int, samples: int, workers: int) -> list:
 def cmd_suite(args):
     if args.seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {args.seeds}")
+    check_cap("--seeds", args.seeds, SEED_CAP, "seeds")
     _samples(args.samples)
     names = SUITE_NAMES if args.name == "lemmas" else (args.name,)
     outputs = _suite_outputs(names, args.seeds, args.samples,
@@ -595,11 +571,11 @@ def emit(records, fmt: str, out_path) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        writer.writerows(rec.row() for rec in records)
+        writer.writerows([rec[c] for c in COLUMNS] for rec in records)
         text = buf.getvalue()
     else:
-        text = json.dumps([rec.as_obj() for rec in records],
-                          sort_keys=True, separators=(",", ":")) + "\n"
+        text = json.dumps(records, sort_keys=True,
+                          separators=(",", ":")) + "\n"
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
@@ -724,11 +700,12 @@ def main(argv=None) -> int:
     base = {"command": args.command,
             "config": RunConfig.from_args(args).digest(),
             "seed": str(args.seed)}
-    records = [ResultRecord(**{**base, **row}) for row in rows]
+    records = [{c: row.get(c, base.get(c, "")) for c in COLUMNS}
+               for row in rows]
     emit(records, args.format, args.out)
     print(f"latcov {args.command}: {len(records)} record(s), "
           f"wall-clock {elapsed:.3f}s", file=sys.stderr)
-    return 2 if any(rec.ok == "fail" for rec in records) else 0
+    return 2 if any(rec["ok"] == "fail" for rec in records) else 0
 
 
 def __getattr__(name):   # ROADMAP 2b: goes when the tracer stops pinning names

@@ -65,7 +65,7 @@ def mlsc_checkpoint_base(alpha: Fraction, rho: int, sigma: int) -> int:
 
 def alg_mlsc(metric: Metric, vs: ValuationSet,
              solver: Callable[[SopQuery], SopResult],
-             rho: int, sigma: int) -> tuple[LatencyTour, PhaseLog]:
+             ) -> tuple[LatencyTour, PhaseLog]:
     """Phase-doubling latency cover: returns the stitched tour and its log.
 
     Each phase runs ceil(4 alpha rho) augmentations at the phase budget; each
@@ -74,6 +74,10 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
     Budgets double until they reach n * diameter; past that bound any
     coverable valuation is coverable in one augmentation, so a full phase
     with zero residual gain signals an uncoverable valuation.
+
+    (rho, sigma) is the guarantee `solver` declares in its first answer; a
+    later answer declaring another pair, or a path longer than sigma times
+    its budget, raises ValueError.
 
     `solver` must be a pure function of its query. A query is fixed by the
     collected vertex set and the budget, so the solver is asked each
@@ -84,7 +88,8 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
     if vs.n != metric.n:
         raise ValueError("valuations and metric disagree on the vertex count")
     r = metric.root
-    h = augmentation_count(vs.alpha, rho)
+    declared = None   # the solver's (rho, sigma), from its first answer
+    h = 1             # augmentations per phase, set by the first answer
     cap = max(1, metric.n * metric.diameter)
     s_mask = 1 << r
     walk = [r]
@@ -97,11 +102,17 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
         results: list[SopResult] = []
         added: list[int] = []
         gained = False
-        for _ in range(h):
+        while len(results) < h:   # one result per augmentation
             if asked != (s_mask, budget):
                 asked = (s_mask, budget)
                 res = solver(SopQuery(metric, r, residual, budget))
-                if res.length > sigma * budget:
+                if declared is None:
+                    declared = res.guarantee
+                    h = augmentation_count(vs.alpha, declared[0])
+                elif res.guarantee != declared:
+                    raise ValueError(f"solver declared {res.guarantee} "
+                                     f"after {declared}")
+                if res.length > declared[1] * budget:
                     raise ValueError("solver exceeded its declared "
                                      "length bound")
             results.append(res)
@@ -126,7 +137,11 @@ def alg_mlsc(metric: Metric, vs: ValuationSet,
         if budget < cap:
             budget *= 2
     tour = LatencyTour.from_walk(metric, vs, walk)
-    return tour, PhaseLog(vs.alpha, rho, sigma, h, tuple(phases))
+    # no query when the root alone covers every valuation: each count
+    # check_decay reads is then 0, so any base gives the same rows and verdict
+    rho, sigma = declared or (1, 1)
+    return tour, PhaseLog(vs.alpha, rho, sigma,
+                          augmentation_count(vs.alpha, rho), tuple(phases))
 
 
 def brute_force_latency(metric: Metric, vs: ValuationSet) -> LatencyTour:

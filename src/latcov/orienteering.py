@@ -43,7 +43,7 @@ class SopResult:
     path: tuple[int, ...]
     length: int
     value: Fraction
-    guarantee: tuple[object, int]   # (rho, sigma)
+    guarantee: tuple[int, int]   # (rho, sigma)
 
 
 def _mask(path) -> int:

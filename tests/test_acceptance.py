@@ -139,7 +139,7 @@ def test_c05_mlsc_ratio_and_recurrence():
     for seed in range(150):
         kind = "uniform-metric" if seed % 2 == 0 else "euclidean-grid-metric"
         inst = random_instance(kind, 4 + seed % 3, seed)
-        tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+        tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact)
         opt = brute_force_latency(inst.metric, inst.valuations)
         ok, _ = check_mlsc_recurrence(tour, log, opt)
         rec_failures += not ok

@@ -625,6 +625,71 @@ def test_nonpositive_suite_seeds_is_bad_input(capsys):
         assert "Traceback" not in captured.err, seeds
 
 
+@pytest.mark.parametrize("name", ["lemmas", "ranking-lemmas"])
+def test_suite_seeds_past_the_cap_are_refused_before_running(name):
+    # 10**9 seeds would never finish: a subprocess, so a missing refusal
+    # fails on its timeout; the refusal names the cap in force
+    proc = subprocess.run(
+        [sys.executable, "-m", "latcov", "suite", name, "--seeds",
+         str(10**9)], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"--seeds capped at seeds={cli.SEED_CAP}, got seeds={10**9}\n"), \
+        proc.stderr
+    assert cli.SEED_CAP >= 160   # the benchmark's suite seed count
+
+
+# one run of every subcommand, the gen file branch included
+EVERY_SUBCOMMAND = [
+    ("gen", "stochastic:n=3:seed=4", "{dest}"),
+    ("lcst", "--gen", "tree:n=5:seed=1"),
+    ("suite", "lemmas", "--seeds", "1", "--samples", "20", "--jobs", "1"),
+] + [argv for argv, _, _ in CHECKED]
+
+
+def test_every_handler_row_key_is_a_column(tmp_path, capsys, monkeypatch):
+    # main keeps only the COLUMNS of each row, so a misspelt key would
+    # vanish from the output instead of failing
+    rows = []
+
+    def recording(handler):
+        def run(args):
+            got = handler(args)
+            rows.extend((args.command, row) for row in got)
+            return got
+        return run
+
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    dest = str(tmp_path / "s.lcov")
+    for argv in EVERY_SUBCOMMAND:
+        argv = [a.format(dest=dest) for a in argv]
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+    assert {command for command, _ in rows} == \
+        {argv[0] for argv in EVERY_SUBCOMMAND}
+    for command, row in rows:
+        assert set(row) <= set(cli.COLUMNS), (command, row)
+
+
+@pytest.mark.parametrize("solver", ["exact", "greedy"])
+def test_mlsc_root_covering_every_valuation_runs_no_phase(solver, tmp_path,
+                                                          capsys):
+    # both valuations are covered at the root: no path query is asked
+    path = tmp_path / "root.lcov"
+    path.write_text("LATCOV v1 mlsc\nMETRIC 2 0\n0 1\n1 0\n"
+                    "VALUATIONS 2 2 singlegroup 1/1\n"
+                    "wtc 1 ; 1/1 : 0:1/1\nwtc 1 ; 1/1 : 0:1/1\nEND\n")
+    code, out = run_cli(capsys, "mlsc", "--in", str(path), "--solver",
+                        solver, "--oracle")
+    assert code == 0
+    (row,) = rows_of(out)
+    assert "phases=0" in row["detail"] and row["ok"] == "pass"
+    assert row["objective"] == "0"
+
+
 def test_explicit_table_refused_before_tabulating(tmp_path, capsys):
     # 2^20 and 2^30 table entries: refused up front, not after building;
     # so are generator sizes past GEN_CAP, which overflowed, hung, or (for

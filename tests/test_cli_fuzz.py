@@ -479,9 +479,10 @@ def test_metric_and_tree_token_streams_keep_exit_contract(n, rate, seed):
 
 # each subcommand's own flags with their valid values; None marks a
 # switch, which takes no value.  A drawn flag is mostly given a valid
-# value, else zero, a negative, a non-number, an empty value or none at
-# all.  --gen values are generator heads, given n <= 6 and a seed.
-BAD_VALUES = ("0", "-1", "x", "")
+# value, else zero, a negative, a huge integer, a non-number, an empty
+# value or none at all.  --gen values are generator heads, given n <= 6
+# and a seed.
+BAD_VALUES = ("0", "-1", "x", "", "1000000000000")
 STO_FLAGS = {"--oracle": None, "--samples": ("20", "1")}
 # each command's valid values agree with one another: the same filter,
 # element and set counts, points inside the domain

@@ -1,5 +1,6 @@
 """Latency cover walks: phase construction, exact oracle, decay recurrence."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -11,8 +12,8 @@ from latcov.instances.generators import random_instance
 from latcov.instances.metrics import GridPoints, metric_from_matrix, uniform_metric
 from latcov.instances.valuations import ValuationSet, check_submodular
 from latcov.mlsc import (LatencyTour, ResidualValuation, alg_mlsc,
-                         PhaseLog, brute_force_latency, check_mlsc_recurrence,
-                         mlsc_checkpoint_base)
+                         PhaseLog, augmentation_count, brute_force_latency,
+                         check_mlsc_recurrence, mlsc_checkpoint_base)
 from latcov.orienteering import (EXACT_CAP, SopResult, greedy_rho,
                                   sop_exact, sop_recursive_greedy)
 from latcov.ranking import alg_ag, brute_force_ranking
@@ -121,7 +122,7 @@ def test_single_target_objective_is_distance():
         metric = inst.metric
         target = 3
         vs = ValuationSet.singlegroup(6, [[target]], [1])
-        tour, log = alg_mlsc(metric, vs, sop_exact, 1, 1)
+        tour, log = alg_mlsc(metric, vs, sop_exact)
         assert tour.cover_times == (metric.d(0, target),)
         assert tour.objective == metric.d(0, target)
         # ... and within the phase checkpoint that first affords the target
@@ -139,7 +140,7 @@ def test_uniform_metric_matches_greedy_ranking():
     # odd prefixes 2t-1
     for seed in range(10):
         inst = random_instance("uniform-metric", 6, seed)
-        tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+        tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact)
         order = alg_ag(inst.valuations)
         horizon = max(order.cover_times)
         assert len(log.phases) == 1
@@ -151,7 +152,7 @@ def test_uniform_metric_matches_greedy_ranking():
 def test_walk_structure_and_phase_bookkeeping():
     for seed in range(10):
         inst = mlsc_instance(seed, n=6)
-        tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+        tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact)
         assert tour.walk[0] == 0
         recomputed = LatencyTour.from_walk(inst.metric, inst.valuations,
                                            tour.walk)
@@ -171,7 +172,7 @@ def test_walk_structure_and_phase_bookkeeping():
 def test_ratio_versus_exact_optimum():
     for seed in range(20):
         inst = mlsc_instance(seed, n=6)
-        tour, _ = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+        tour, _ = alg_mlsc(inst.metric, inst.valuations, sop_exact)
         opt = brute_force_latency(inst.metric, inst.valuations)
         assert tour.objective <= 56 * inst.valuations.alpha * opt.objective
 
@@ -179,7 +180,7 @@ def test_ratio_versus_exact_optimum():
 def test_zero_diameter_is_free():
     metric = GridPoints(((0, 0), (0, 0), (0, 0))).to_metric()
     vs = ValuationSet.coverage(3, [[1], [2]])
-    tour, _ = alg_mlsc(metric, vs, sop_exact, 1, 1)
+    tour, _ = alg_mlsc(metric, vs, sop_exact)
     assert tour.objective == 0
 
 
@@ -190,7 +191,7 @@ def test_stalling_solver_raises():
         return SopResult((q.root,), 0, q.valuation.value(1 << q.root), (1, 1))
 
     with pytest.raises(Uncoverable):
-        alg_mlsc(PATH_METRIC, vs, lazy, 1, 1)
+        alg_mlsc(PATH_METRIC, vs, lazy)
 
 
 def test_overlong_solver_path_rejected():
@@ -200,7 +201,35 @@ def test_overlong_solver_path_rejected():
         return SopResult((q.root, 2), 5, q.valuation.value(0b101), (1, 1))
 
     with pytest.raises(ValueError):
-        alg_mlsc(PATH_METRIC, vs, liar, 1, 1)
+        alg_mlsc(PATH_METRIC, vs, liar)
+
+
+def test_solver_changing_its_guarantee_is_refused():
+    # the target sits past the first budgets, so the run asks more than once
+    vs = ValuationSet.singlegroup(3, [[2]], [1])
+    answers = []
+
+    def fickle(q):
+        answers.append(q)
+        return dataclasses.replace(sop_exact(q), guarantee=(len(answers), 1))
+
+    with pytest.raises(ValueError, match=r"declared \(2, 1\) after \(1, 1\)"):
+        alg_mlsc(PATH_METRIC, vs, fickle)
+    assert len(answers) == 2
+
+
+def test_root_alone_covering_asks_no_query():
+    vs = ValuationSet.singlegroup(3, [[0], [0]], [1, 1])
+
+    def never(q):
+        raise AssertionError("asked a query")
+
+    tour, log = alg_mlsc(PATH_METRIC, vs, never)
+    assert tour.cover_times == (0, 0) and log.phases == ()
+    assert (log.rho, log.sigma) == (1, 1)
+    assert log.augmentations == augmentation_count(vs.alpha, 1)
+    opt = brute_force_latency(PATH_METRIC, vs)
+    assert check_mlsc_recurrence(tour, log, opt) == (True, [(0, 0, 0, 0)])
 
 
 def test_recursive_greedy_solver_covers():
@@ -208,9 +237,13 @@ def test_recursive_greedy_solver_covers():
         inst = mlsc_instance(seed, n=6)
         rho = greedy_rho(6)
         assert rho == 4   # ceil(log2 6) + 1
-        tour, _ = alg_mlsc(inst.metric, inst.valuations,
-                           sop_recursive_greedy, rho, 1)
+        tour, log = alg_mlsc(inst.metric, inst.valuations,
+                             sop_recursive_greedy)
         assert max(tour.cover_times) <= tour.prefix[-1]
+        # the log carries the pair the solver declared, not a caller's
+        assert (log.rho, log.sigma) == (rho, 1)
+        assert log.augmentations == augmentation_count(
+            inst.valuations.alpha, rho)
 
 
 def test_greedy_rho_is_ceil_log2_plus_one():
@@ -234,11 +267,12 @@ def run_both(metric, vs, solver, rho):
     reference on one solver: both outcomes (result or exception) and both
     solver call counts."""
     outcomes, calls = [], ([], [])
-    for fn, seen, once in ((alg_mlsc, calls[0], True),
-                           (reference_alg_mlsc, calls[1], False)):
+    for fn, guarantee, seen, once in (
+            (alg_mlsc, (), calls[0], True),
+            (reference_alg_mlsc, (rho, 1), calls[1], False)):
         try:
             outcomes.append(fn(metric, vs, recording(solver, seen, once),
-                               rho, 1))
+                               *guarantee))
         except (ValueError, Uncoverable) as exc:
             outcomes.append((type(exc), str(exc)))
     return outcomes, len(calls[0]), len(calls[1])
@@ -282,7 +316,7 @@ def test_path_without_new_vertices_grows_the_walk_only():
         (got, want), _, _ = run_both(inst.metric, inst.valuations, revisit, 1)
         assert got == want, seed
         tour, log = got
-        plain, _ = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+        plain, _ = alg_mlsc(inst.metric, inst.valuations, sop_exact)
         idle = sum(len(res.path) > 1 and res.value == 0
                    for rec in log.phases for res in rec.results)
         assert (len(tour.walk) > len(plain.walk)) == (idle > 0), seed
@@ -292,7 +326,7 @@ def test_path_without_new_vertices_grows_the_walk_only():
 
 def test_recurrence_phase_zero_coverage_is_trivial():
     inst = random_instance("uniform-metric", 5, 0)
-    tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+    tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact)
     assert len(log.phases) == 1
     opt = brute_force_latency(inst.metric, inst.valuations)
     ok, rows = check_mlsc_recurrence(tour, log, opt)
@@ -334,7 +368,7 @@ def rerun_mlsc_recurrence(tour, log, opt):
 def test_recurrence_holds_on_random_instances():
     for seed in range(100):
         inst = mlsc_instance(seed, n=4 + seed % 3)
-        tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact, 1, 1)
+        tour, log = alg_mlsc(inst.metric, inst.valuations, sop_exact)
         opt = brute_force_latency(inst.metric, inst.valuations)
         ok, rows = check_mlsc_recurrence(tour, log, opt)
         assert ok, (seed, rows)

@@ -15,8 +15,7 @@ from latcov.instances.metrics import GridPoints, metric_closure, uniform_metric
 from latcov.instances.valuations import (CoverFunction, ExplicitFunction,
                                          uniform_term)
 from latcov.mlsc import alg_mlsc
-from latcov.orienteering import (SopQuery, greedy_rho, sop_exact,
-                                 sop_recursive_greedy)
+from latcov.orienteering import SopQuery, sop_exact, sop_recursive_greedy
 from latcov.ranking import ResidualFunction
 from util import reference_recursive_greedy
 
@@ -320,7 +319,7 @@ def test_pruned_splits_match_full_scan_on_mlsc_queries():
     for n in (8, 9, 10):
         for seed in range(4):
             inst = random_instance("euclidean-grid-metric", n, seed)
-            runs = [alg_mlsc(inst.metric, inst.valuations, solver, 1, 1)
+            runs = [alg_mlsc(inst.metric, inst.valuations, solver)
                     for solver in (sop_recursive_greedy, gain_recursive_greedy)]
             assert runs[0] == runs[1], (n, seed)
 
@@ -389,7 +388,7 @@ def test_closed_bottom_level_matches_reference_on_mlsc_queries():
 
     for n in range(12, 17):
         for inst in first_grids(n, 4):
-            alg_mlsc(inst.metric, inst.valuations, both, greedy_rho(n), 1)
+            alg_mlsc(inst.metric, inst.valuations, both)
 
 
 def test_recursive_greedy_peak_memory_on_the_cli_query():
