@@ -42,7 +42,7 @@ COLUMNS = ("command", "config", "seed", "objective", "oracle", "ratio",
 
 SUITE_NAMES = ("ranking-lemmas", "mlsc-lemmas", "lcst-probes", "wssr-lemmas")
 
-SAMPLE_CAP = 5_000_000   # a Monte-Carlo wssr run here takes about 10 s
+SAMPLE_CAP = 5_000_000   # samples at n <= 8; _samples caps draws past it
 SEED_CAP = 650   # suite lemmas at the default --samples: about 10 s here
 
 # genspec heads: valuation styles make ranking instances, the rest map to
@@ -199,8 +199,9 @@ def cmd_sop(args):
               "detail": _detail({"budget": budget, "length": res.length,
                                  "path": _join(res.path),
                                  "solver": args.solver})}
-    if args.oracle and args.solver == "greedy":
-        exact = sop_exact(query)
+    if args.oracle:
+        # the exact solver's own answer is the optimum it is checked against
+        exact = res if args.solver == "exact" else sop_exact(query)
         rho, sigma = res.guarantee
         ok = res.value * rho >= exact.value and res.length <= sigma * budget
         fields.update(_verdict(res.value, exact.value, ok))
@@ -275,7 +276,7 @@ def cmd_lcst(args):
 def _stochastic_rows(st, args):
     from .stochastic import (alg_ag_sto, check_sto_recurrence, evaluate_policy,
                              greedy_policy, optimal_adaptive, outcome_tally)
-    _samples(args.samples)
+    _samples(args.samples, st.n)
     policy = greedy_policy(st)
     try:
         objective = evaluate_policy(st, policy)
@@ -296,11 +297,13 @@ def _stochastic_rows(st, args):
     return [fields]
 
 
-def _samples(samples: int):
-    """Refuse --samples below 1 or past SAMPLE_CAP, before any draw."""
+def _samples(samples: int, n: int):
+    """Refuse --samples below 1, or past 8 * SAMPLE_CAP draws of n elements
+    each, before any draw.  A sample costs about n draws, so every n <= 8
+    keeps SAMPLE_CAP and a larger n gets a proportionally smaller cap."""
     if samples < 1:
         raise ValueError(f"--samples must be >= 1, got {samples}")
-    check_cap("--samples", samples, SAMPLE_CAP, "samples")
+    check_cap("--samples", samples, 8 * SAMPLE_CAP // max(n, 8), "samples")
 
 
 def cmd_wssr(args):
@@ -545,7 +548,7 @@ def cmd_suite(args):
     if args.seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {args.seeds}")
     check_cap("--seeds", args.seeds, SEED_CAP, "seeds")
-    _samples(args.samples)
+    _samples(args.samples, 4)   # wssr-lemmas draws at most 4 elements
     names = SUITE_NAMES if args.name == "lemmas" else (args.name,)
     outputs = _suite_outputs(names, args.seeds, args.samples,
                              suite_workers(args.jobs, args.seeds))

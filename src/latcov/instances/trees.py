@@ -5,17 +5,16 @@ parent[v]). Construction builds each vertex's children and one root-first
 order (depth-first preorder, children in id order) in the pass that checks
 the parent pointers: they form a tree exactly when that order reaches
 every vertex. `topo_order`, `euler_tour` and the group checks read these
-stored lists. Group covering instances additionally require, after
-`normalize`: group members are leaves, groups are pairwise disjoint, and
-every leaf belongs to some group.
+stored lists, and `d` climbs the parent pointers (`path_length`). Group
+covering instances additionally require, after `normalize`: group members
+are leaves, groups are pairwise disjoint, and every leaf belongs to some
+group.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Optional, Sequence
-
-from .metrics import Metric, metric_from_matrix
 
 
 class GroupedTree:
@@ -69,7 +68,6 @@ class GroupedTree:
         if not member_seen.issuperset(self.leaves):
             raise ValueError("every leaf must belong to some group "
                              "(run normalize first)")
-        self._dists: Optional[list[list[int]]] = None
 
     # ---- structure ---------------------------------------------------------
 
@@ -93,31 +91,9 @@ class GroupedTree:
     def total_weight(self) -> int:
         return sum(self.weight)
 
-    def distances(self) -> list[list[int]]:
-        """All-pairs tree distances (cached; per-vertex traversal)."""
-        if self._dists is None:
-            self._dists = [self._bfs(v) for v in range(self.n)]
-        return self._dists
-
-    def _bfs(self, s: int) -> list[int]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for v in self.edges:
-            p = self.parent[v]
-            adj[v].append((p, self.weight[v]))
-            adj[p].append((v, self.weight[v]))
-        dist = [-1] * self.n
-        dist[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w, wt in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + wt
-                    stack.append(w)
-        return dist
-
-    def tree_metric(self) -> Metric:
-        return metric_from_matrix(self.distances(), self.root)
+    def d(self, a: int, b: int) -> int:
+        """Length of the tree path between a and b."""
+        return path_length(self.parent, self.weight, a, b)
 
     def topo_order(self) -> list[int]:
         """Vertices root-first; every parent precedes its children."""
@@ -152,9 +128,22 @@ class GroupedTree:
             path.append(self.parent[path[-1]])
         return path
 
-    def walk_weight(self, walk: Sequence[int]) -> int:
-        dist = self.distances()
-        return sum(dist[a][b] for a, b in zip(walk, walk[1:]))
+
+def path_length(parent: Sequence[Optional[int]], weight: Sequence[int],
+                a: int, b: int) -> int:
+    """Length of the tree path between a and b: a's ancestors are recorded
+    with their distances from a, then b climbs to the first of them."""
+    up = {}
+    d, u = 0, a
+    while u is not None:
+        up[u] = d
+        d += weight[u]
+        u = parent[u]
+    d = 0
+    while b not in up:
+        d += weight[b]
+        b = parent[b]
+    return d + up[b]
 
 
 def _root_first(kids: Sequence[Sequence[int]], root: int) -> list[int]:

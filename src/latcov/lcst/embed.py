@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..instances.trees import GroupedTree, normalize
+from ..instances.trees import GroupedTree, normalize, path_length
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,7 @@ class EmbeddedTree:
         return normalize(self.parent, self.weight, self.root, mapped, capped)
 
     def distance(self, a: int, b: int) -> int:
-        up_a = {}
-        d, u = 0, a
-        while u is not None:
-            up_a[u] = d
-            d += self.weight[u]
-            u = self.parent[u]
-        d, v = 0, b
-        while v not in up_a:
-            d += self.weight[v]
-            v = self.parent[v]
-        return d + up_a[v]
+        return path_length(self.parent, self.weight, a, b)
 
 
 def frt_embed(metric, seed: int) -> EmbeddedTree:

@@ -196,7 +196,7 @@ def level_tour(tree: GroupedTree, sol: LpSolution, lv: int, seed,
                     for _ in range(repeat_count(tree, repeat_mult)))
     selected = contracted.union(*samples)
     walk = tuple(tree.euler_tour(set(selected)))
-    weight = tree.walk_weight(walk)
+    weight = 2 * sum(tree.weight[e] for e in selected)   # each edge twice
     return RoundingPhase(
         level=lv, contracted=contracted, samples=samples, selected=selected,
         walk=walk, weight=weight,
@@ -228,6 +228,6 @@ def alg_lcst(tree: GroupedTree, seed, repeat_mult=6, weight_mult=192,
     fallback = not covered
     if fallback:
         walk.extend(tree.euler_tour()[1:])
-    tour = LatencyTour.from_walk(tree.tree_metric(), vs, walk)
+    tour = LatencyTour.from_walk(tree, vs, walk)
     report = RoundingReport(tuple(phases), fallback)
     return tour, report

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import Uncoverable
-from .instances.metrics import Metric
 from .instances.valuations import ValuationSet
 
 
@@ -26,15 +25,19 @@ class LatencyTour:
     objective: int
 
     @classmethod
-    def from_walk(cls, metric: Metric, vs: ValuationSet,
+    def from_walk(cls, space, vs: ValuationSet,
                   walk: Sequence[int]) -> "LatencyTour":
-        """Recompute prefix lengths, cover times, and the objective."""
+        """Recompute prefix lengths, cover times, and the objective.
+
+        `space` is anything with `root` and `d(a, b)`: a `Metric`, or a
+        `GroupedTree`, which measures its own paths.
+        """
         walk = tuple(walk)
-        if not walk or walk[0] != metric.root:
+        if not walk or walk[0] != space.root:
             raise ValueError("walk must start at the root")
         prefix = [0]
         for a, b in zip(walk, walk[1:]):
-            prefix.append(prefix[-1] + metric.d(a, b))
+            prefix.append(prefix[-1] + space.d(a, b))
         cover = vs.first_cover(zip(walk, prefix))
         if None in cover:
             raise Uncoverable("walk does not cover every valuation")

@@ -13,6 +13,7 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -142,6 +143,16 @@ def test_out_file_and_quiet_stdout(tmp_path, capsys):
         (row,) = rows_of(fh.read())
     assert row["ok"] == "pass"
     assert row["ratio_den"] == row["oracle"]
+
+
+def test_sop_exact_oracle_gives_its_verdict(capsys):
+    # the exact solver is its own optimum, checked against its declared (1, 1)
+    code, out = run_cli(capsys, "sop", "--gen", "grid:n=6:seed=1",
+                        "--solver", "exact", "--oracle")
+    assert code == 0
+    (row,) = rows_of(out)
+    assert row["oracle"] == row["objective"] != ""
+    assert row["ratio"] == "1" and row["ok"] == "pass"
 
 
 def test_sop_greedy_vs_exact(capsys):
@@ -616,6 +627,33 @@ def test_samples_past_the_cap_are_refused_before_drawing(argv):
     assert cli.SAMPLE_CAP >= 10**4   # C13's count, the largest in use
 
 
+def test_samples_cap_counts_draws():
+    # a sample draws about one outcome per element, so the cap holds
+    # samples * max(n, 8) at 8 * SAMPLE_CAP: unchanged for every n <= 8
+    for n in (1, 4, 8):
+        cli._samples(cli.SAMPLE_CAP, n)
+        with pytest.raises(CapExceeded):
+            cli._samples(cli.SAMPLE_CAP + 1, n)
+    for n, cap in ((32, 1_250_000), (256, 156_250)):
+        cli._samples(cap, n)
+        with pytest.raises(CapExceeded, match=f"samples={cap},"):
+            cli._samples(cap + 1, n)
+
+
+def test_samples_under_the_old_cap_are_refused_at_large_n():
+    # 200,000 samples at n=256 took 11 s before the cap counted draws; the
+    # refusal names the cap in force for that n
+    proc = subprocess.run(
+        [sys.executable, "-m", "latcov", "wssr", "--gen",
+         "stochastic:n=256:seed=1", "--samples", "200000"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+        text=True, timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(
+        "--samples capped at samples=156250, got samples=200000\n"), \
+        proc.stderr
+
+
 def test_nonpositive_suite_seeds_is_bad_input(capsys):
     for seeds in ("0", "-3"):
         assert cli.main(["suite", "lemmas", "--seeds", seeds]) == 2, seeds
@@ -983,3 +1021,52 @@ def test_config_hash_tracks_options():
     one, three = (cli.RunConfig.from_args(parser.parse_args(
         ["suite", "ranking-lemmas", "--jobs", jobs])) for jobs in ("1", "3"))
     assert one.digest() == three.digest()
+
+
+HUGE = "1000000000000"
+HUGE_INT_ARGVS = [
+    *[(*base, "--seed", HUGE) for base in (
+        ("gen", "tree:n=4:seed=1"), ("rank", "--gen", "explicit:n=4:seed=1"),
+        ("sop", "--gen", "grid:n=5:seed=0"),
+        ("mlsc", "--gen", "uniform:n=4:seed=1"),
+        ("lcst", "--gen", "uniform:n=6:seed=6"),
+        ("wssr", "--gen", "stochastic:n=3:seed=1", "--oracle"),
+        SSC_ARGS, FILTERS_ARGS, SGMSSC_ARGS,
+        ("suite", "wssr-lemmas", "--seeds", "1"))],
+    ("sop", "--gen", "grid:n=5:seed=0", "--budget", HUGE),
+    ("lcst", "--gen", "uniform:n=6:seed=6", "--embed-seed", HUGE),
+    *[("lcst", "--gen", "tree:n=6:seed=1", flag, HUGE)
+      for flag in ("--round-seed", "--repeat-mult", "--weight-mult")],
+    *[(*base, "--samples", HUGE) for base in (
+        ("wssr", "--gen", "stochastic:n=3:seed=1"), SSC_ARGS, FILTERS_ARGS,
+        SGMSSC_ARGS, ("suite", "wssr-lemmas", "--seeds", "1"))],
+    *[(*base[:1], *base[3:], "--domain", HUGE)
+      for base in (SSC_ARGS, SGMSSC_ARGS)],
+    ("suite", "wssr-lemmas", "--seeds", HUGE),
+    ("suite", "wssr-lemmas", "--seeds", "1", "--jobs", HUGE)]
+
+
+class _Deadline(BaseException):
+    """Raised by the alarm; no handler in the CLI catches it."""
+
+
+def _past_deadline(signum, frame):
+    raise _Deadline
+
+
+@pytest.mark.parametrize("argv", HUGE_INT_ARGVS,
+                         ids=[" ".join(a) for a in HUGE_INT_ARGVS])
+def test_huge_integer_flags_keep_exit_contract(argv, capsys):
+    # every integer flag of every subcommand, given 10**12 once: a cap
+    # refuses it (exit 2) or the run answers, within the deadline
+    previous = signal.signal(signal.SIGALRM, _past_deadline)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code = cli.main(list(argv))
+    except _Deadline:
+        pytest.fail(f"{argv} ran past 10 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in capsys.readouterr().err, argv

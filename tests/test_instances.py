@@ -11,13 +11,15 @@ from latcov.instances import (CoverFunction, CoverTerm, ExplicitFunction,
                               GridPoints, GroupedTree,
                               Metric, ValuationSet, check_submodular,
                               compute_epsilon, dumps, loads,
-                              metric_closure, min_nonzero_marginal,
-                              normalize, random_instance, uniform_metric)
+                              metric_closure, metric_from_matrix,
+                              min_nonzero_marginal, normalize,
+                              random_instance, uniform_metric)
 from latcov.cli import parse_genspec
 from latcov.instances import serial
 from latcov.instances.serial import parse_rat
 import util
-from util import cover_times, pairwise_submodular
+from util import (cover_times, pairwise_submodular, reference_distances,
+                  reference_walk_weight)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -201,17 +203,50 @@ def test_normalize_shared_and_internal_members():
     for v in flat:
         assert not t.children[v]
     # zero-weight pendants preserve distances: tree metric still valid
-    t.tree_metric()
+    metric_from_matrix(reference_distances(t), t.root)
 
 
 def test_euler_tour_weight_and_closure():
     t = random_instance("random-tree", 9, 4).tree
     walk = t.euler_tour()
     assert walk[0] == walk[-1] == t.root
-    assert t.walk_weight(walk) == 2 * t.total_weight
+    assert reference_walk_weight(t, walk) == 2 * t.total_weight
     times, obj = cover_times(t, walk)
     assert all(x is not None for x in times)
     assert obj == sum(times)
+
+
+def _check_tree_distances(t):
+    ref = reference_distances(t)
+    for a in range(t.n):
+        assert t.d(a, a) == 0
+        for b in range(t.n):
+            assert t.d(a, b) == ref[a][b] == t.d(b, a), (a, b)
+
+
+def test_tree_distances_match_reference_on_generated_trees():
+    for n in range(3, 15):
+        for seed in range(4):
+            tree = parse_genspec(f"tree:n={n}:seed={seed}").tree
+            _check_tree_distances(tree)
+
+
+def test_tree_distances_match_reference_across_zero_weight_pendants():
+    # raw groups name the root, internal vertices and shared members, so
+    # normalize hangs zero-weight pendants; every raw edge weighs 1..4
+    rng = random.Random("pendants")
+    pendants = 0
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        parent = [None] + [rng.randrange(i) for i in range(1, n)]
+        weight = [0] + [rng.randint(1, 4) for _ in range(1, n)]
+        groups = [rng.sample(range(n), rng.randint(1, min(3, n)))
+                  for _ in range(rng.randint(1, 3))]
+        reqs = [rng.randint(1, len(g)) for g in groups]
+        t = normalize(parent, weight, 0, groups, reqs)
+        pendants += sum(1 for v in t.edges if t.weight[v] == 0)
+        _check_tree_distances(t)
+    assert pendants >= 20
 
 
 def test_euler_tour_subtree_validation():

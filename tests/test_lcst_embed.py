@@ -6,7 +6,10 @@ import warnings
 
 from latcov.instances.metrics import (GridPoints, Metric, metric_closure,
                                       metric_from_matrix, uniform_metric)
+from latcov.instances.trees import path_length
 from latcov.lcst.embed import frt_embed
+
+from util import reference_distances
 
 
 def random_metric(seed):
@@ -51,6 +54,16 @@ def test_non_contracting_on_random_metrics():
                 assert td >= m.d(a, b)
                 if m.d(a, b) == 0:
                     assert t.leaf_of[a] == t.leaf_of[b]
+
+
+def test_distance_is_the_tree_path_length():
+    for seed in range(30):
+        t = frt_embed(random_metric(seed), seed)
+        ref = reference_distances(t)
+        for a in range(len(t.parent)):
+            for b in range(len(t.parent)):
+                assert t.distance(a, b) == ref[a][b] == \
+                    path_length(t.parent, t.weight, a, b), (seed, a, b)
 
 
 def test_edge_weights_are_powers_of_two():

@@ -7,14 +7,19 @@ from fractions import Fraction
 
 import pytest
 
+from latcov.cli import parse_genspec
 from latcov.errors import Infeasible
+from latcov.instances.metrics import metric_from_matrix
 from latcov.instances.trees import GroupedTree
+from latcov.instances.valuations import ValuationSet
 from latcov.lcst.lp import solve_lp_lcst
 from latcov.lcst.rounding import (alg_lcst, flow_adjust, krs_round,
                                   level_marginals, level_tour, repeat_count,
                                   residual_requirements, weight_cap)
+from latcov.tour import LatencyTour
 
 from util import (cover_times, max_flow_fractions, random_grouped_tree,
+                  reference_distances, reference_walk_weight,
                   single_leaf_tree, tree_tour_optimum, two_level_tree)
 
 BIG = Fraction(10 ** 9)  # stands in for an uncapped arc; Fraction(inf) raises
@@ -226,7 +231,7 @@ def test_phase_shape():
                 p = tree.parent[v]
                 assert p == tree.root or p in ph.selected
             assert ph.walk[0] == tree.root and ph.walk[-1] == tree.root
-            assert ph.weight == tree.walk_weight(ph.walk)
+            assert ph.weight == reference_walk_weight(tree, ph.walk)
             assert ph.weight == 2 * sum(tree.weight[e] for e in ph.selected)
             assert ph.accepted == (ph.weight <= weight_cap(tree, lv))
 
@@ -300,3 +305,18 @@ def test_fallback_covers_anyway():
     # with a zero cap only empty walks pass the gate
     for ph in report.phases:
         assert not ph.accepted or len(ph.walk) == 1
+
+
+def test_tour_on_the_tree_matches_the_reference_metric():
+    # the tour measured on the tree itself equals the same walk priced on
+    # the all-pairs table, fallback walks included (weight_mult=0)
+    trees = [two_level_tree(), single_leaf_tree(6)]
+    trees += [random_grouped_tree(200 + s, 6 + s % 3) for s in range(4)]
+    trees += [parse_genspec(f"tree:n={n}:seed=1").tree for n in (6, 7)]
+    for tree in trees:
+        sol = solve_lp_lcst(tree)
+        vs = ValuationSet.singlegroup(tree.n, tree.groups, tree.reqs)
+        metric = metric_from_matrix(reference_distances(tree), tree.root)
+        for seed, weight_mult in ((0, 192), (1, 192), (0, 0)):
+            tour, _ = alg_lcst(tree, seed, weight_mult=weight_mult, lp=sol)
+            assert tour == LatencyTour.from_walk(metric, vs, tour.walk)

@@ -68,7 +68,7 @@ def cover_times(tree, walk: Sequence[int]) -> tuple[list[Optional[int]], int]:
     it (such groups contribute nothing to the sum and the caller decides
     how to account for them).
     """
-    dist = tree.distances()
+    dist = reference_distances(tree)
     need = {gi: tree.reqs[gi] for gi in range(len(tree.groups))}
     member_of: dict[int, int] = {}
     for gi, g in enumerate(tree.groups):
@@ -90,6 +90,38 @@ def cover_times(tree, walk: Sequence[int]) -> tuple[list[Optional[int]], int]:
                 times[gi] = t
     objective = sum(x for x in times if x is not None)
     return times, objective
+
+
+def reference_distances(tree):
+    """All-pairs tree distances as `GroupedTree.distances` computed them
+    before the tree measured its paths by climbing to a common ancestor:
+    one depth-first search per source over an undirected adjacency list.
+    `tree` is anything with `parent` and `weight` arrays."""
+    n = len(tree.parent)
+    adj = [[] for _ in range(n)]
+    for v, p in enumerate(tree.parent):
+        if p is not None:
+            adj[v].append((p, tree.weight[v]))
+            adj[p].append((v, tree.weight[v]))
+    table = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w, wt in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + wt
+                    stack.append(w)
+        table.append(dist)
+    return table
+
+
+def reference_walk_weight(tree, walk):
+    """A walk's length, summed step by step over `reference_distances`."""
+    dist = reference_distances(tree)
+    return sum(dist[a][b] for a, b in zip(walk, walk[1:]))
 
 
 def pairwise_submodular(fn, n):
